@@ -29,7 +29,6 @@ from .heisenberg import (
     deg1,
     deg2,
     h,
-    multiply,
     one,
     specialize_weyl,
     x,
@@ -88,7 +87,6 @@ __all__ = [
     "inner_decompose",
     "lambda_of",
     "mdeg",
-    "multiply",
     "one",
     "op_apply",
     "op_commutator",

@@ -480,12 +480,12 @@ def bimodule_scale(
     return mr.compose(phi).compose(ms)
 
 
-def is_azumaya(alg: CenteredFreeAlgebra, max_dim: int = 8) -> bool:
-    """Determinant test for a_i (x) a_j^o -> (c -> a_i c a_j) being bijective.
+def azumaya_determinant(alg: CenteredFreeAlgebra, max_dim: int = 8) -> Poly:
+    """Determinant of the map a_i (x) a_j^o -> (c -> a_i c a_j).
 
-    The map is written as an N^2 x N^2 matrix over the base ring; it is an
-    isomorphism of free modules exactly when the determinant is a unit,
-    i.e. a nonzero scalar.
+    The map is written as an N^2 x N^2 matrix over the base ring.
+    Algebras of dimension above max_dim raise MathError, because the
+    determinant's degree grows with N^2.
     """
     n = alg.dim
     if n > max_dim:
@@ -505,7 +505,16 @@ def is_azumaya(alg: CenteredFreeAlgebra, max_dim: int = 8) -> bool:
                 )
                 for l in range(n):
                     big[l * n + k][col] = prod[l]
-    det = bareiss_determinant(big, ring)
+    return bareiss_determinant(big, ring)
+
+
+def is_azumaya(alg: CenteredFreeAlgebra, max_dim: int = 8) -> bool:
+    """Determinant test for a_i (x) a_j^o -> (c -> a_i c a_j) being bijective.
+
+    The map is an isomorphism of free modules exactly when its
+    determinant is a unit, i.e. a nonzero scalar.
+    """
+    det = azumaya_determinant(alg, max_dim)
     return det.is_constant() and not det.is_zero()
 
 
@@ -580,7 +589,7 @@ def algebra_to_record(alg: CenteredFreeAlgebra) -> dict:
 
 
 def algebra_from_record(rec: dict, validate: bool = True) -> CenteredFreeAlgebra:
-    from .parsing import parse_poly
+    from .parsing import poly_from_text
 
     try:
         dim = int(rec["dim"])
@@ -593,7 +602,7 @@ def algebra_from_record(rec: dict, validate: bool = True) -> CenteredFreeAlgebra
     if len(table_rec) != dim:
         raise ValidationError("structure-constant table size does not match dim")
     table = [
-        [[parse_poly(ring, text) for text in cell] for cell in row]
+        [[poly_from_text(ring, text) for text in cell] for cell in row]
         for row in table_rec
     ]
     labels = rec.get("labels")

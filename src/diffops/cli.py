@@ -17,10 +17,10 @@ import sys
 
 from .errors import MathError, ParseError, ValidationError
 from .fields import FieldSpec
-from .heisenberg import AlgebraContext, MODE_HEISENBERG, MODE_WEYL
-from .operators import mdeg, op_apply, op_compose, reduce_to_scalar
+from .heisenberg import AlgebraContext, HElement, MODE_HEISENBERG, MODE_WEYL
+from .operators import DOperator, mdeg, op_apply, op_compose, reduce_to_scalar
 from .operators import inner_decompose
-from .polydiff import p_order
+from .polydiff import PDOp, p_order
 from .polyring import PolyRing
 from . import azumaya as az
 from . import findim
@@ -103,28 +103,21 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"bad JSON in {path}: {exc}") from None
 
 
-def _print_element(a, fmt):
+#: text form and record form of each printable value type
+_FORMS = {
+    HElement: (format_element, element_records),
+    DOperator: (format_operator, operator_records),
+    PDOp: (format_pdop, pdop_records),
+}
+
+
+def _print_value(v, fmt):
+    text, records = _FORMS[type(v)]
     if fmt == "structured":
-        for rec in element_records(a):
+        for rec in records(v):
             print(_dumps(rec))
     else:
-        print(format_element(a))
-
-
-def _print_operator(d, fmt):
-    if fmt == "structured":
-        for rec in operator_records(d):
-            print(_dumps(rec))
-    else:
-        print(format_operator(d))
-
-
-def _print_pdop(d, fmt):
-    if fmt == "structured":
-        for rec in pdop_records(d):
-            print(_dumps(rec))
-    else:
-        print(format_pdop(d))
+        print(text(v))
 
 
 def _print_matrix(m, fmt, prefix=""):
@@ -157,7 +150,7 @@ def _degree_text(value) -> str:
 
 def _cmd_normalize(args):
     ctx = _context(args)
-    _print_element(element_from_text(ctx, args.expr), args.format)
+    _print_value(element_from_text(ctx, args.expr), args.format)
     return 0
 
 
@@ -165,7 +158,7 @@ def _cmd_comm(args):
     ctx = _context(args)
     a = element_from_text(ctx, args.left)
     b = element_from_text(ctx, args.right)
-    _print_element(a * b - b * a, args.format)
+    _print_value(a * b - b * a, args.format)
     return 0
 
 
@@ -173,7 +166,7 @@ def _cmd_apply(args):
     ctx = _context(args)
     d = operator_from_text(ctx, args.operator)
     a = element_from_text(ctx, args.element)
-    _print_element(op_apply(d, a), args.format)
+    _print_value(op_apply(d, a), args.format)
     return 0
 
 
@@ -181,7 +174,7 @@ def _cmd_compose(args):
     ctx = _context(args)
     d1 = operator_from_text(ctx, args.left)
     d2 = operator_from_text(ctx, args.right)
-    _print_operator(op_compose(d1, d2), args.format)
+    _print_value(op_compose(d1, d2), args.format)
     return 0
 
 
@@ -258,7 +251,7 @@ def _cmd_reconstruct(args):
 def _cmd_zeta(args):
     alg = az.algebra_from_record(_load_json(args.algebra))
     phi = az.matrix_from_record(_load_json(args.matrix))
-    _print_pdop(az.restrict_to_base(alg, phi), args.format)
+    _print_value(az.restrict_to_base(alg, phi), args.format)
     return 0
 
 

@@ -12,7 +12,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import UnsupportedCharacteristicError, ValidationError
+from .errors import (
+    IncompatibleContextError,
+    UnsupportedCharacteristicError,
+    ValidationError,
+)
 
 
 def _is_prime(p: int) -> bool:
@@ -81,6 +85,14 @@ class FieldSpec:
         c = a * b
         return c % self.characteristic if self.characteristic else c
 
+    def acc(self, out: dict, key, c):
+        """Add c into out[key]; the key is dropped when the sum is zero."""
+        v = self.add(out.get(key, 0), c)
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
     def neg(self, a):
         return (-a) % self.characteristic if self.characteristic else -a
 
@@ -124,6 +136,63 @@ class FieldSpec:
         if self.characteristic == 0 and a.denominator != 1:
             return f"{a.numerator}/{a.denominator}"
         return str(a if self.characteristic == 0 else int(a))
+
+
+class Combination:
+    """A finite linear combination of monomials with coefficients in a field.
+
+    ``terms`` maps monomial keys to nonzero scalars.  ``parent`` (an
+    algebra context or a polynomial ring) carries the field and fixes the
+    shape of the keys; values with different parents never mix.  A
+    subclass gives the parent its public name, and provides a constructor
+    ``(parent, terms)`` that validates the keys and its own product.
+    """
+
+    __slots__ = ("parent", "terms")
+
+    def is_zero(self) -> bool:
+        return not self.terms
+
+    def _check(self, other):
+        if self.parent != other.parent:
+            raise IncompatibleContextError(
+                f"contexts differ: {self.parent} vs {other.parent}"
+            )
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self.parent == other.parent
+            and self.terms == other.terms
+        )
+
+    def __hash__(self):
+        return hash((self.parent, frozenset(self.terms.items())))
+
+    def _combined(self, other, negate: bool):
+        self._check(other)
+        f = self.parent.field
+        out = dict(self.terms)
+        for k, c in other.terms.items():
+            f.acc(out, k, f.neg(c) if negate else c)
+        return type(self)(self.parent, out)
+
+    def __add__(self, other):
+        return self._combined(other, False)
+
+    def __sub__(self, other):
+        return self._combined(other, True)
+
+    def __neg__(self):
+        f = self.parent.field
+        return type(self)(self.parent, {k: f.neg(c) for k, c in self.terms.items()})
+
+    def scale(self, c):
+        f = self.parent.field
+        c = f.coerce(c)
+        return type(self)(self.parent, {k: f.mul(v, c) for k, v in self.terms.items()})
+
+    __rmul__ = scale
 
 
 def _parse_scalar_literal(text: str):

@@ -175,21 +175,25 @@ class FinAlgebra:
         return self.basis_coords(self.unit)
 
     def multiply(self, u, v):
-        f = self.field
-        d = self.dim
-        out = [f.zero] * d
-        for i, a in enumerate(u):
-            if a == 0:
+        return _multiply(self.field, self.constants, u, v)
+
+
+def _multiply(f, constants, u, v):
+    """Coordinates of u * v under the structure constants."""
+    d = len(constants)
+    out = [f.zero] * d
+    for i, a in enumerate(u):
+        if a == 0:
+            continue
+        for j, b in enumerate(v):
+            if b == 0:
                 continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = f.mul(a, b)
-                for k in range(d):
-                    c = self.constants[i][j][k]
-                    if c != 0:
-                        out[k] = f.add(out[k], f.mul(ab, c))
-        return tuple(out)
+            ab = f.mul(a, b)
+            for k in range(d):
+                c = constants[i][j][k]
+                if c != 0:
+                    out[k] = f.add(out[k], f.mul(ab, c))
+    return tuple(out)
 
 
 # -- matrix helpers on End(A), flattened row-major --------------------------------
@@ -412,21 +416,6 @@ def _with_unit_basis(field, constants, labels, n):
     # new basis: b_i = e_i for i < last, b_last = sum of diagonal units
     diag = [i * n + i for i in range(n)]
 
-    def old_mul(u, v):
-        out = [f.zero] * d
-        for i, a in enumerate(u):
-            if a == 0:
-                continue
-            for j, b in enumerate(v):
-                if b == 0:
-                    continue
-                ab = f.mul(a, b)
-                for k in range(d):
-                    c = constants[i][j][k]
-                    if c != 0:
-                        out[k] = f.add(out[k], f.mul(ab, c))
-        return out
-
     def new_to_old(i):
         vec = [f.zero] * d
         if i == last:
@@ -447,7 +436,7 @@ def _with_unit_basis(field, constants, labels, n):
     for i in range(d):
         row = []
         for j in range(d):
-            row.append(old_to_new(old_mul(new_to_old(i), new_to_old(j))))
+            row.append(old_to_new(_multiply(f, constants, new_to_old(i), new_to_old(j))))
         table.append(row)
     return FinAlgebra(f, table, last, labels[:-1] + ["1"])
 

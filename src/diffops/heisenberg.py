@@ -19,13 +19,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import (
-    IncompatibleContextError,
     UnsupportedCharacteristicError,
     UnsupportedModeError,
     ValidationError,
 )
-from .fields import FieldSpec
-from .polyring import PolyRing
+from .fields import Combination, FieldSpec
+from .polyring import Poly, PolyRing
 
 MODE_HEISENBERG = "heisenberg"
 MODE_WEYL = "weyl"
@@ -61,10 +60,11 @@ class AlgebraContext:
         return tuple(1 if j == i - 1 else 0 for j in range(self.n))
 
 
-class HElement:
+class HElement(Combination):
     """Element of H_n (or A_n in Weyl mode) in PBW normal form."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
+    ctx = Combination.parent
 
     def __init__(self, ctx: AlgebraContext, terms: dict | None = None):
         self.ctx = ctx
@@ -94,56 +94,7 @@ class HElement:
     def monomial(cls, ctx, m, I, J, coeff=1) -> "HElement":
         return cls(ctx, {(int(m), tuple(I), tuple(J)): ctx.field.coerce(coeff)})
 
-    # -- predicates --------------------------------------------------------
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def _check(self, other: "HElement"):
-        if self.ctx != other.ctx:
-            raise IncompatibleContextError(f"contexts differ: {self.ctx} vs {other.ctx}")
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, HElement)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
-
-    # -- arithmetic --------------------------------------------------------
-
-    def _combined(self, other: "HElement", sign: int) -> "HElement":
-        self._check(other)
-        f = self.ctx.field
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = f.add(out.get(k, f.zero), c if sign > 0 else f.neg(c))
-            if v == 0:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return HElement(self.ctx, out)
-
-    def __add__(self, other):
-        return self._combined(other, 1)
-
-    def __sub__(self, other):
-        return self._combined(other, -1)
-
-    def __neg__(self):
-        f = self.ctx.field
-        return HElement(self.ctx, {k: f.neg(c) for k, c in self.terms.items()})
-
-    def scale(self, c) -> "HElement":
-        f = self.ctx.field
-        c = f.coerce(c)
-        return HElement(self.ctx, {k: f.mul(v, c) for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
+    # -- product -----------------------------------------------------------
 
     def __mul__(self, other):
         if not isinstance(other, HElement):
@@ -194,12 +145,7 @@ def _mul_mono(ctx, key1, key2, c, out):
         m = 0 if ctx.is_weyl else m1 + m2 + sum(K)
         I = tuple(I1[i] + I2[i] - K[i] for i in range(n))
         J = tuple(J1[i] + J2[i] - K[i] for i in range(n))
-        key = (m, I, J)
-        v = f.add(out.get(key, f.zero), f.mul(c, coef))
-        if v == 0:
-            out.pop(key, None)
-        else:
-            out[key] = v
+        f.acc(out, (m, I, J), f.mul(c, coef))
 
 
 # -- generators --------------------------------------------------------------
@@ -224,11 +170,6 @@ def y(ctx: AlgebraContext, i: int) -> HElement:
 
 
 # -- operations ---------------------------------------------------------------
-
-
-def multiply(a: HElement, b: HElement) -> HElement:
-    """PBW normal form of the product a*b."""
-    return a * b
 
 
 def commutator(a: HElement, b: HElement) -> HElement:
@@ -258,12 +199,7 @@ def specialize_weyl(a: HElement) -> HElement:
     f = a.ctx.field
     out: dict = {}
     for (m, I, J), c in a.terms.items():
-        key = (0, I, J)
-        v = f.add(out.get(key, f.zero), c)
-        if v == 0:
-            out.pop(key, None)
-        else:
-            out[key] = v
+        f.acc(out, (0, I, J), c)
     return HElement(wctx, out)
 
 
@@ -295,16 +231,12 @@ def central_decompose(a: HElement) -> dict:
     if p == 0:
         raise UnsupportedCharacteristicError("central decomposition needs char p")
     ring = centre_ring(a.ctx)
-    out: dict = {}
+    parts: dict = {}
     for (m, I, J), c in a.terms.items():
         key = (0, tuple(e % p for e in I), tuple(e % p for e in J))
         exps = (m,) + tuple(e // p for e in I) + tuple(e // p for e in J)
-        poly = out.get(key, ring.zero()) + ring.monomial(exps, c)
-        if poly.is_zero():
-            out.pop(key, None)
-        else:
-            out[key] = poly
-    return out
+        ring.field.acc(parts.setdefault(key, {}), exps, c)
+    return {key: Poly(ring, terms) for key, terms in parts.items() if terms}
 
 
 def central_recompose(ctx: AlgebraContext, parts: dict) -> HElement:
@@ -322,9 +254,5 @@ def central_recompose(ctx: AlgebraContext, parts: dict) -> HElement:
                 tuple(I0[i] + p * exps[1 + i] for i in range(n)),
                 tuple(J0[i] + p * exps[1 + n + i] for i in range(n)),
             )
-            v = f.add(out.get(key, f.zero), c)
-            if v == 0:
-                out.pop(key, None)
-            else:
-                out[key] = v
+            f.acc(out, key, c)
     return HElement(ctx, out)

@@ -34,6 +34,7 @@ from .errors import (
     ValidationError,
     ZeroOperatorError,
 )
+from .fields import Combination
 from .heisenberg import (
     MINUS_INF,
     AlgebraContext,
@@ -45,10 +46,11 @@ from .heisenberg import (
 )
 
 
-class DOperator:
+class DOperator(Combination):
     """Differential operator on H_n (or A_n) in normal form."""
 
-    __slots__ = ("ctx", "terms")
+    __slots__ = ()
+    ctx = Combination.parent
 
     def __init__(self, ctx: AlgebraContext, terms: dict | None = None):
         self.ctx = ctx
@@ -75,55 +77,6 @@ class DOperator:
     def term(cls, ctx, m, I, J, s, K, L, coeff=1) -> "DOperator":
         key = (int(m), tuple(I), tuple(J), int(s), tuple(K), tuple(L))
         return cls(ctx, {key: ctx.field.coerce(coeff)})
-
-    # -- basics ------------------------------------------------------------
-
-    def _check(self, other):
-        if self.ctx != other.ctx:
-            raise IncompatibleContextError(f"contexts differ: {self.ctx} vs {other.ctx}")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, DOperator)
-            and self.ctx == other.ctx
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ctx, frozenset(self.terms.items())))
-
-    def _combined(self, other, sign):
-        self._check(other)
-        f = self.ctx.field
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = f.add(out.get(k, f.zero), c if sign > 0 else f.neg(c))
-            if v == 0:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return DOperator(self.ctx, out)
-
-    def __add__(self, other):
-        return self._combined(other, 1)
-
-    def __sub__(self, other):
-        return self._combined(other, -1)
-
-    def __neg__(self):
-        f = self.ctx.field
-        return DOperator(self.ctx, {k: f.neg(c) for k, c in self.terms.items()})
-
-    def scale(self, c) -> "DOperator":
-        f = self.ctx.field
-        c = f.coerce(c)
-        return DOperator(self.ctx, {k: f.mul(v, c) for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
 
     def __repr__(self):
         from .printing import format_operator
@@ -252,7 +205,7 @@ def _push_partials(ctx, s, K, L, m2, I2, J2):
                             cK,
                             cL,
                         )
-                        nxt_states[key] = f.add(nxt_states.get(key, f.zero), coef)
+                        f.acc(nxt_states, key, coef)
                         # bracket of dh with y_l produces -dx_l dh^[s-1]
                         if cs >= 1:
                             w = f.neg(f.mul(coef, f.coerce(cK[l] + 1)))
@@ -265,9 +218,7 @@ def _push_partials(ctx, s, K, L, m2, I2, J2):
                                     ),
                                     cL,
                                 )
-                                nxt_states[key] = f.add(
-                                    nxt_states.get(key, f.zero), w
-                                )
+                                f.acc(nxt_states, key, w)
                         # bracket of dy_l with y_l lowers the dy order
                         if cL[l] >= 1:
                             key = (
@@ -276,8 +227,8 @@ def _push_partials(ctx, s, K, L, m2, I2, J2):
                                 cK,
                                 tuple(cL[i] - (1 if i == l else 0) for i in range(n)),
                             )
-                            nxt_states[key] = f.add(nxt_states.get(key, f.zero), coef)
-                    states = {k: v for k, v in nxt_states.items() if v != 0}
+                            f.acc(nxt_states, key, coef)
+                    states = nxt_states
             for (yexp, cs, cK, cL), coef in states.items():
                 yield coef, (hm, xI, yexp), (cs, cK, cL)
 
@@ -312,13 +263,8 @@ def op_compose(d1: DOperator, d2: DOperator) -> DOperator:
                 )
                 lam_terms: dict = {}
                 _mul_mono(ctx, (m1, I1, J1), lam_key, w, lam_terms)
-                for (rm, rI, rJ), cc in lam_terms.items():
-                    key = (rm, rI, rJ) + dkey
-                    v = f.add(out.get(key, f.zero), cc)
-                    if v == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = v
+                for lam, cc in lam_terms.items():
+                    f.acc(out, lam + dkey, cc)
     return DOperator(ctx, out)
 
 
@@ -370,13 +316,6 @@ def mdeg(d: DOperator):
     if not d.terms:
         return MINUS_INF
     return max(2 * s + sum(K) + sum(L) for (_, _, _, s, K, L) in d.terms)
-
-
-def generator_symbols(ctx: AlgebraContext) -> list[str]:
-    syms = [] if ctx.is_weyl else ["h"]
-    syms += [f"x{l}" for l in range(1, ctx.n + 1)]
-    syms += [f"y{l}" for l in range(1, ctx.n + 1)]
-    return syms
 
 
 def partner_operator(ctx: AlgebraContext, sym: str) -> DOperator:
@@ -530,12 +469,7 @@ def inner_decompose(d: DOperator) -> list[tuple[HElement, HElement]]:
             _mul_mono(ctx, b_key, v, f.one, right)
             for lk, lc in left.items():
                 for rk, rc in right.items():
-                    key = (lk, rk)
-                    w = f.add(out.get(key, f.zero), f.mul(lc, rc))
-                    if w == 0:
-                        out.pop(key, None)
-                    else:
-                        out[key] = w
+                    f.acc(out, (lk, rk), f.mul(lc, rc))
         return out
 
     total: dict = {}
@@ -583,9 +517,5 @@ def inner_decompose(d: DOperator) -> list[tuple[HElement, HElement]]:
 def _tensor_add(f, t1, t2):
     out = dict(t1)
     for k, c in t2.items():
-        v = f.add(out.get(k, f.zero), c)
-        if v == 0:
-            out.pop(k, None)
-        else:
-            out[k] = v
+        f.acc(out, k, c)
     return out

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .errors import ParseError, ValidationError
 from .heisenberg import AlgebraContext, HElement, h as gen_h, x as gen_x, y as gen_y
-from .operators import DOperator, dh, dh_reversed, dx, dy, identity_op, lambda_of, op_compose
+from .operators import DOperator, dh, dh_reversed, dx, dy, lambda_of, op_compose
 from .polydiff import PDOp, p_compose
 from .polyring import Poly, PolyRing
 
@@ -240,13 +240,25 @@ _DGEN_RE = re.compile(r"^(d[xy])(\d+)$")
 
 
 class _Evaluator:
-    """Shared arithmetic over a domain; subclasses provide atoms."""
+    """Shared arithmetic over one value type; subclasses provide atoms.
+
+    ``kind`` builds a value from ``parent`` and a term dict, and ``unit``
+    is the key of the unit monomial, whose multiples are the scalars.
+    """
+
+    def __init__(self, kind, parent, unit):
+        self.kind = kind
+        self.parent = parent
+        self.field = parent.field
+        self.unit = unit
 
     def eval(self, node):
+        if isinstance(node, BinOp) and node.op in "+-":
+            return self.sum(node)
         if isinstance(node, Num):
             return self.scalar_value(node.value)
         if isinstance(node, Neg):
-            return self.negate(self.eval(node.operand))
+            return -self.eval(node.operand)
         if isinstance(node, Pow):
             if node.exponent < 0:
                 raise ValidationError("negative exponent")
@@ -254,10 +266,6 @@ class _Evaluator:
         if isinstance(node, BinOp):
             left = self.eval(node.left)
             right = self.eval(node.right)
-            if node.op == "+":
-                return self.add(left, right)
-            if node.op == "-":
-                return self.add(left, self.negate(right))
             if node.op == "*":
                 return self.multiply(left, right)
             return self.divide(left, right)
@@ -267,23 +275,44 @@ class _Evaluator:
             return self.partial(node)
         raise AssertionError(f"unknown node {node!r}")
 
+    def sum(self, node):
+        """Fold a chain of + and - into one term dict.
+
+        The parser builds the chain left-deep, so its left spine is walked
+        in a loop: a sum of any length neither recurses nor copies the
+        terms gathered so far.
+        """
+        summands = []
+        while isinstance(node, BinOp) and node.op in "+-":
+            summands.append((node.op == "-", node.right))
+            node = node.left
+        f = self.field
+        out = dict(self.eval(node).terms)
+        for negate, right in reversed(summands):
+            for k, c in self.eval(right).terms.items():
+                f.acc(out, k, f.neg(c) if negate else c)
+        return self.kind(self.parent, out)
+
+    def scalar_value(self, v):
+        return self.kind(self.parent, {self.unit: self.field.coerce(v)})
+
+    def as_scalar(self, a):
+        """The scalar c with a = c * 1, or None if a is not a scalar."""
+        if a.terms.keys() <= {self.unit}:
+            return a.terms.get(self.unit, self.field.zero)
+        return None
+
     def divide(self, left, right):
         c = self.as_scalar(right)
         if c is None or c == 0:
             raise ValidationError("division is only defined by nonzero scalars")
-        return self.scale(left, self.field.inv(c))
+        return left.scale(self.field.inv(c))
 
-    def add(self, a, b):
-        return a + b
-
-    def negate(self, a):
-        return -a
-
-    def scale(self, a, c):
-        return a.scale(c)
+    def multiply(self, a, b):
+        return a * b
 
     def power(self, a, k):
-        out = self.one_value()
+        out = self.scalar_value(1)
         for _ in range(k):
             out = self.multiply(out, a)
         return out
@@ -294,116 +323,71 @@ class _Evaluator:
 
 class _ElementEvaluator(_Evaluator):
     def __init__(self, ctx: AlgebraContext):
-        self.ctx = ctx
-        self.field = ctx.field
-
-    def scalar_value(self, v):
-        return HElement.scalar(self.ctx, v)
-
-    def one_value(self):
-        return HElement.scalar(self.ctx, 1)
-
-    def multiply(self, a, b):
-        return a * b
-
-    def as_scalar(self, a):
-        z = (0, self.ctx.zero_index(), self.ctx.zero_index())
-        if not a.terms:
-            return self.field.zero
-        if set(a.terms) == {z}:
-            return a.terms[z]
-        return None
+        z = ctx.zero_index()
+        super().__init__(HElement, ctx, (0, z, z))
 
     def symbol(self, node):
         name = node.name
+        ctx = self.parent
         if node.order is not None:
             raise ParseError(
                 f"{name} does not take a bracket order here", node.line, node.column
             )
         if name == "h":
-            return gen_h(self.ctx)
+            return gen_h(ctx)
         m = _GEN_RE.match(name)
         if m:
             idx = int(m.group(2))
-            if not 1 <= idx <= self.ctx.n:
+            if not 1 <= idx <= ctx.n:
                 raise ParseError(
-                    f"index {idx} out of range for rank {self.ctx.n}",
+                    f"index {idx} out of range for rank {ctx.n}",
                     node.line,
                     node.column,
                 )
-            return (gen_x if m.group(1) == "x" else gen_y)(self.ctx, idx)
+            return (gen_x if m.group(1) == "x" else gen_y)(ctx, idx)
         raise ParseError(f"unknown symbol {name!r}", node.line, node.column)
 
 
 class _OperatorEvaluator(_Evaluator):
     def __init__(self, ctx: AlgebraContext):
-        self.ctx = ctx
-        self.field = ctx.field
+        z = ctx.zero_index()
+        super().__init__(DOperator, ctx, (0, z, z, 0, z, z))
         self._elems = _ElementEvaluator(ctx)
-
-    def scalar_value(self, v):
-        return identity_op(self.ctx).scale(v)
-
-    def one_value(self):
-        return identity_op(self.ctx)
 
     def multiply(self, a, b):
         return op_compose(a, b)
 
-    def as_scalar(self, a):
-        z = self.ctx.zero_index()
-        key = (0, z, z, 0, z, z)
-        if not a.terms:
-            return self.field.zero
-        if set(a.terms) == {key}:
-            return a.terms[key]
-        return None
-
     def symbol(self, node):
         name = node.name
         order = node.order
+        ctx = self.parent
         if name == "Dh":
             if order is not None:
                 raise ParseError("Dh does not take a bracket order", node.line, node.column)
-            if self.ctx.is_weyl:
+            if ctx.is_weyl:
                 raise ParseError("Dh is not available in Weyl mode", node.line, node.column)
-            return dh_reversed(self.ctx)
+            return dh_reversed(ctx)
         if name == "dh":
-            if self.ctx.is_weyl:
+            if ctx.is_weyl:
                 raise ParseError("dh is not available in Weyl mode", node.line, node.column)
-            return dh(self.ctx, order if order is not None else 1)
+            return dh(ctx, order if order is not None else 1)
         m = _DGEN_RE.match(name)
         if m:
             idx = int(m.group(2))
-            if not 1 <= idx <= self.ctx.n:
+            if not 1 <= idx <= ctx.n:
                 raise ParseError(
-                    f"index {idx} out of range for rank {self.ctx.n}",
+                    f"index {idx} out of range for rank {ctx.n}",
                     node.line,
                     node.column,
                 )
             builder = dx if m.group(1) == "dx" else dy
-            return builder(self.ctx, idx, order if order is not None else 1)
+            return builder(ctx, idx, order if order is not None else 1)
         return lambda_of(self._elems.symbol(node))
 
 
 class _PolyEvaluator(_Evaluator):
     def __init__(self, ring: PolyRing):
-        self.ring = ring
-        self.field = ring.field
-
-    def scalar_value(self, v):
-        return self.ring.constant(v)
-
-    def one_value(self):
-        return self.ring.one()
-
-    def multiply(self, a, b):
-        return a * b
-
-    def as_scalar(self, a):
-        if a.is_constant():
-            return a.constant_value()
-        return None
+        super().__init__(Poly, ring, (0,) * ring.nvars)
 
     def symbol(self, node):
         if node.order is not None:
@@ -413,48 +397,34 @@ class _PolyEvaluator(_Evaluator):
                 node.column,
             )
         try:
-            i = self.ring.variables.index(node.name)
+            i = self.parent.variables.index(node.name)
         except ValueError:
             raise ParseError(
                 f"unknown variable {node.name!r}", node.line, node.column
             ) from None
-        return self.ring.gen(i)
+        return self.parent.gen(i)
 
 
 class _PDOpEvaluator(_Evaluator):
     def __init__(self, ring: PolyRing):
-        self.ring = ring
-        self.field = ring.field
+        z = (0,) * ring.nvars
+        super().__init__(PDOp, ring, (z, z))
         self._polys = _PolyEvaluator(ring)
-
-    def scalar_value(self, v):
-        return PDOp.identity(self.ring).scale(v)
-
-    def one_value(self):
-        return PDOp.identity(self.ring)
 
     def multiply(self, a, b):
         return p_compose(a, b)
-
-    def as_scalar(self, a):
-        z = (0,) * self.ring.nvars
-        if not a.terms:
-            return self.field.zero
-        if set(a.terms) == {(z, z)}:
-            return a.terms[(z, z)]
-        return None
 
     def symbol(self, node):
         return PDOp.mult(self._polys.symbol(node))
 
     def partial(self, node):
         try:
-            i = self.ring.variables.index(node.var)
+            i = self.parent.variables.index(node.var)
         except ValueError:
             raise ParseError(
                 f"unknown variable {node.var!r}", node.line, node.column
             ) from None
-        return PDOp.partial(self.ring, i, node.order)
+        return PDOp.partial(self.parent, i, node.order)
 
 
 def element_from_text(ctx: AlgebraContext, text: str) -> HElement:
@@ -473,27 +443,20 @@ def poly_from_text(ring: PolyRing, text: str) -> Poly:
     return _PolyEvaluator(ring).eval(parse(text))
 
 
-def parse_poly(ring: PolyRing, text: str) -> Poly:
-    return poly_from_text(ring, text)
-
-
 def infer_ring_variables(text: str) -> tuple[str, ...]:
     """Variable names appearing in a polynomial-operator expression, sorted."""
     names = set()
-    expr = parse(text)
-
-    def walk(node):
+    stack = [parse(text)]
+    while stack:
+        node = stack.pop()
         if isinstance(node, Sym):
             names.add(node.name)
         elif isinstance(node, Partial):
             names.add(node.var)
         elif isinstance(node, Neg):
-            walk(node.operand)
+            stack.append(node.operand)
         elif isinstance(node, Pow):
-            walk(node.base)
+            stack.append(node.base)
         elif isinstance(node, BinOp):
-            walk(node.left)
-            walk(node.right)
-
-    walk(expr)
+            stack += (node.left, node.right)
     return tuple(sorted(names))

@@ -14,14 +14,16 @@ from __future__ import annotations
 from itertools import combinations_with_replacement
 
 from .errors import IncompatibleContextError, ValidationError
+from .fields import Combination
 from .heisenberg import MINUS_INF
 from .polyring import Poly, PolyRing
 
 
-class PDOp:
+class PDOp(Combination):
     """Differential operator with polynomial coefficients, canonical sparse form."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
+    ring = Combination.parent
 
     def __init__(self, ring: PolyRing, terms: dict | None = None):
         self.ring = ring
@@ -67,55 +69,6 @@ class PDOp:
     def term(cls, ring, beta, alpha, coeff=1) -> "PDOp":
         return cls(ring, {(tuple(beta), tuple(alpha)): ring.field.coerce(coeff)})
 
-    # -- basics ------------------------------------------------------------
-
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise IncompatibleContextError("operators over different rings")
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, PDOp)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    def _combined(self, other, sign):
-        self._check(other)
-        f = self.ring.field
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = f.add(out.get(k, f.zero), c if sign > 0 else f.neg(c))
-            if v == 0:
-                out.pop(k, None)
-            else:
-                out[k] = v
-        return PDOp(self.ring, out)
-
-    def __add__(self, other):
-        return self._combined(other, 1)
-
-    def __sub__(self, other):
-        return self._combined(other, -1)
-
-    def __neg__(self):
-        f = self.ring.field
-        return PDOp(self.ring, {k: f.neg(c) for k, c in self.terms.items()})
-
-    def scale(self, c) -> "PDOp":
-        f = self.ring.field
-        c = f.coerce(c)
-        return PDOp(self.ring, {k: f.mul(v, c) for k, v in self.terms.items()})
-
-    def __rmul__(self, c):
-        return self.scale(c)
-
     def __repr__(self):
         from .printing import format_pdop
 
@@ -137,12 +90,7 @@ def p_apply(d: PDOp, f: Poly) -> Poly:
                 w = fld.mul(w, fld.binom(g, a))
             if w == 0:
                 continue
-            e = tuple(g - a + b for g, a, b in zip(gamma, alpha, beta))
-            nv = fld.add(out.get(e, fld.zero), w)
-            if nv == 0:
-                out.pop(e, None)
-            else:
-                out[e] = nv
+            fld.acc(out, tuple(g - a + b for g, a, b in zip(gamma, alpha, beta)), w)
     return Poly(d.ring, out)
 
 
@@ -178,12 +126,7 @@ def p_compose(d1: PDOp, d2: PDOp) -> PDOp:
             for tau, coef in stack:
                 beta = tuple(b1[i] + b2[i] - tau[i] for i in range(nv))
                 alpha = tuple(a1[i] - tau[i] + a2[i] for i in range(nv))
-                key = (beta, alpha)
-                v = fld.add(out.get(key, fld.zero), coef)
-                if v == 0:
-                    out.pop(key, None)
-                else:
-                    out[key] = v
+                fld.acc(out, (beta, alpha), coef)
     return PDOp(d1.ring, out)
 
 

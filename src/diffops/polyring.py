@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import IncompatibleContextError, ValidationError
-from .fields import FieldSpec
+from .errors import ValidationError
+from .fields import Combination, FieldSpec
 
 
 @dataclass(frozen=True)
@@ -54,23 +54,15 @@ class PolyRing:
         return Poly(self, {exponents: c} if c != 0 else {})
 
 
-class Poly:
+class Poly(Combination):
     """Canonical sparse polynomial; immutable after construction."""
 
-    __slots__ = ("ring", "terms")
+    __slots__ = ()
+    ring = Combination.parent
 
     def __init__(self, ring: PolyRing, terms: dict):
         self.ring = ring
         self.terms = {e: c for e, c in terms.items() if c != 0}
-
-    def _check(self, other: "Poly"):
-        if self.ring != other.ring:
-            raise IncompatibleContextError(
-                f"polynomials over different rings: {self.ring} vs {other.ring}"
-            )
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
@@ -83,31 +75,6 @@ class Poly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, Poly)
-            and self.ring == other.ring
-            and self.terms == other.terms
-        )
-
-    def __hash__(self):
-        return hash((self.ring, frozenset(self.terms.items())))
-
-    def __neg__(self):
-        f = self.ring.field
-        return Poly(self.ring, {e: f.neg(c) for e, c in self.terms.items()})
-
-    def __add__(self, other):
-        self._check(other)
-        f = self.ring.field
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            out[e] = f.add(out.get(e, f.zero), c)
-        return Poly(self.ring, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)
@@ -116,17 +83,8 @@ class Poly:
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                out[e] = f.add(out.get(e, f.zero), f.mul(c1, c2))
+                f.acc(out, tuple(a + b for a, b in zip(e1, e2)), f.mul(c1, c2))
         return Poly(self.ring, out)
-
-    def __rmul__(self, other):
-        return self.scale(other)
-
-    def scale(self, c):
-        f = self.ring.field
-        c = f.coerce(c)
-        return Poly(self.ring, {e: f.mul(v, c) for e, v in self.terms.items()})
 
     def __pow__(self, k: int):
         if k < 0:

@@ -33,16 +33,18 @@ def _split_sign(field, c):
     return False, c
 
 
-def _join_terms(field, rendered: list[tuple[bool, str]]) -> str:
-    if not rendered:
-        return "0"
+def _render(parent, terms, sort_key, factors) -> str:
+    """Print a combination: signed terms in sort_key order, or 0."""
+    field = parent.field
     parts = []
-    for i, (neg, text) in enumerate(rendered):
-        if i == 0:
+    for key in sorted(terms, key=sort_key):
+        neg, c = _split_sign(field, terms[key])
+        text = _coeff_prefix(field, c, factors(parent, key))
+        if not parts:
             parts.append(f"-{text}" if neg else text)
         else:
             parts.append(f"- {text}" if neg else f"+ {text}")
-    return " ".join(parts)
+    return " ".join(parts) if parts else "0"
 
 
 def _power(name: str, e: int) -> str:
@@ -80,12 +82,7 @@ def _element_sort_key(key):
 
 
 def format_element(a) -> str:
-    field = a.ctx.field
-    rendered = []
-    for key in sorted(a.terms, key=_element_sort_key):
-        neg, c = _split_sign(field, a.terms[key])
-        rendered.append((neg, _coeff_prefix(field, c, _element_factors(a.ctx, key))))
-    return _join_terms(field, rendered)
+    return _render(a.ctx, a.terms, _element_sort_key, _element_factors)
 
 
 def element_records(a) -> list[dict]:
@@ -125,12 +122,7 @@ def _operator_sort_key(key):
 
 
 def format_operator(d) -> str:
-    field = d.ctx.field
-    rendered = []
-    for key in sorted(d.terms, key=_operator_sort_key):
-        neg, c = _split_sign(field, d.terms[key])
-        rendered.append((neg, _coeff_prefix(field, c, _operator_factors(d.ctx, key))))
-    return _join_terms(field, rendered)
+    return _render(d.ctx, d.terms, _operator_sort_key, _operator_factors)
 
 
 def operator_records(d) -> list[dict]:
@@ -163,12 +155,7 @@ def _poly_sort_key(exps):
 
 
 def format_poly(f) -> str:
-    field = f.ring.field
-    rendered = []
-    for exps in sorted(f.terms, key=_poly_sort_key):
-        neg, c = _split_sign(field, f.terms[exps])
-        rendered.append((neg, _coeff_prefix(field, c, _poly_factors(f.ring, exps))))
-    return _join_terms(field, rendered)
+    return _render(f.ring, f.terms, _poly_sort_key, _poly_factors)
 
 
 def _pdop_factors(ring, key) -> list[str]:
@@ -187,12 +174,7 @@ def _pdop_sort_key(key):
 
 
 def format_pdop(d) -> str:
-    field = d.ring.field
-    rendered = []
-    for key in sorted(d.terms, key=_pdop_sort_key):
-        neg, c = _split_sign(field, d.terms[key])
-        rendered.append((neg, _coeff_prefix(field, c, _pdop_factors(d.ring, key))))
-    return _join_terms(field, rendered)
+    return _render(d.ring, d.terms, _pdop_sort_key, _pdop_factors)
 
 
 def pdop_records(d) -> list[dict]:

@@ -10,6 +10,7 @@ from diffops.azumaya import (
     OperatorMatrix,
     algebra_from_record,
     algebra_to_record,
+    azumaya_determinant,
     bimodule_scale,
     build_dual_numbers,
     build_heisenberg_charp,
@@ -364,28 +365,9 @@ def test_azumaya_heisenberg_p2_fails_at_h_zero():
     # rank 4), so the determinant is h^16, not a unit
     alg = build_heisenberg_charp(1, 2)
     assert not is_azumaya(alg)
-    det = _azumaya_determinant(alg)
+    det = azumaya_determinant(alg)
     h_power = alg.ring.monomial((16, 0, 0))
     assert det == h_power
-
-
-def _azumaya_determinant(alg):
-    from diffops.polyring import bareiss_determinant
-
-    n = alg.dim
-    ring = alg.ring
-    big = [[ring.zero() for _ in range(n * n)] for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for k in range(n):
-                prod = alg.mul_elements(
-                    alg.mul_elements(alg.basis_element(i), alg.basis_element(k)),
-                    alg.basis_element(j),
-                )
-                for l in range(n):
-                    big[l * n + k][col] = prod[l]
-    return bareiss_determinant(big, ring)
 
 
 def test_azumaya_weyl_algebra_char2():

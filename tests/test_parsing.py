@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from diffops import AlgebraContext, FieldSpec, HElement, PolyRing, commutator, h, x, y
+from diffops import AlgebraContext, DOperator, FieldSpec, HElement, PolyRing, commutator, h, x, y
 from diffops.errors import ParseError
 from diffops.parsing import (
     BinOp,
@@ -144,6 +144,31 @@ def test_poly_round_trip():
     for _ in range(30):
         f = random_poly(rng, ring)
         assert poly_from_text(ring, format_poly(f)) == f
+
+
+def test_long_sums_round_trip():
+    # 1,500 printed terms: a sum this long once exhausted the recursion limit
+    grid = [
+        (m, (i, j), (k, l))
+        for m in range(3)
+        for i in range(5)
+        for j in range(5)
+        for k in range(5)
+        for l in range(4)
+    ]
+    a = HElement(Q2, {key: Fraction(t % 7 - 3 or 5, 1 + t % 4) for t, key in enumerate(grid)})
+    assert len(a.terms) == 1500
+    assert element_from_text(Q2, format_element(a)) == a
+    z = (0, 0)
+    d = DOperator(
+        Q2,
+        {
+            (m, I, J, t % 3, z, (t % 2, 0)): Fraction(t % 5 + 1)
+            for t, (m, I, J) in enumerate(grid)
+        },
+    )
+    assert len(d.terms) == 1500
+    assert operator_from_text(Q2, format_operator(d)) == d
 
 
 def test_pdop_text_examples():
