@@ -1,16 +1,19 @@
-"""Brute-force differential filtration of finite-dimensional algebras.
+"""Differential filtration of finite-dimensional algebras.
 
 Everything here is exact linear algebra over Q or F_p on the coordinate
 space End(A) of a finite-dimensional algebra A given by structure
-constants.  The filtration is computed literally from its definition:
-Z_0 is the span of both-sided multiples of the bimodule centre of
-End(A), and each next level is the preimage of the span of the centre of
-the quotient.  The same machinery runs relative to a central subalgebra,
-which dominates the absolute filtration.
+constants.  Z_0 is the span of both-sided multiples of the bimodule
+centre of End(A), and each next level is the bimodule span of the
+preimage of the centre of the quotient.  Subspaces are reduced row
+echelon bases grown one vector at a time, and a level grows from the one
+below it by closing its new vectors under both-sided multiplication.
+The same machinery runs relative to a central subalgebra, which
+dominates the absolute filtration.
 """
 
 from __future__ import annotations
 
+from bisect import insort
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -25,7 +28,7 @@ class LinearSubspace:
     def __init__(self, ambient: int, field: FieldSpec, vectors=()):
         self.ambient = ambient
         self.field = field
-        rows, pivots = _rref(list(vectors), ambient, field)
+        rows, pivots = _rref(_sparse(vectors, ambient), ambient, field).dense()
         self.rows = rows
         self.pivots = pivots
 
@@ -65,47 +68,133 @@ class LinearSubspace:
         return hash((self.ambient, self.field, self.rows))
 
 
-def _rref(vectors, ambient, field):
-    rows = [list(v) for v in vectors]
-    for v in rows:
+def _sparse(vectors, ambient):
+    """Each vector as {index: value} of its nonzero entries, after a length check."""
+    out = []
+    for v in vectors:
         if len(v) != ambient:
             raise ValidationError("vector length does not match ambient dimension")
-    pivots = []
-    rank = 0
-    for col in range(ambient):
-        piv = None
-        for r in range(rank, len(rows)):
-            if rows[r][col] != 0:
-                piv = r
-                break
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        inv = field.inv(rows[rank][col])
-        rows[rank] = [field.mul(c, inv) for c in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col] != 0:
-                c = rows[r][col]
-                rows[r] = [
-                    field.sub(a, field.mul(c, b)) for a, b in zip(rows[r], rows[rank])
-                ]
-        pivots.append(col)
-        rank += 1
-    clean = [tuple(r) for r in rows[:rank]]
-    return tuple(clean), tuple(pivots)
+        out.append({k: c for k, c in enumerate(v) if c})
+    return out
+
+
+def _pruned(vec, p):
+    """vec without its zero entries, reduced mod p in characteristic p."""
+    if p:
+        return {k: r for k, c in vec.items() if (r := c % p)}
+    return {k: c for k, c in vec.items() if c}
+
+
+class _Echelon:
+    """A reduced row echelon basis that grows by inserting one vector at a time.
+
+    Rows and vectors are held by their nonzero entries {column: value}.
+    """
+
+    __slots__ = ("ambient", "field", "row", "pivots")
+
+    def __init__(self, ambient: int, field: FieldSpec):
+        self.ambient = ambient
+        self.field = field
+        self.row = {}  # pivot column -> row
+        self.pivots = []  # ascending
+
+    @property
+    def dim(self) -> int:
+        return len(self.pivots)
+
+    def reduce(self, vec: dict) -> dict:
+        """Residual of vec modulo the span.
+
+        Every row vanishes at the other pivots, so vec[q] is the coefficient
+        of the row with pivot q.
+        """
+        out = dict(vec)
+        for q, c in vec.items():
+            row = self.row.get(q)
+            if row is not None:
+                for k, x in row.items():
+                    out[k] = out.get(k, 0) - c * x
+        return _pruned(out, self.field.characteristic)
+
+    def insert(self, vec: dict) -> bool:
+        """Add vec to the span; False when it was already there.
+
+        The residual is normalised at its first nonzero entry q, q is
+        cleared from the older rows, and the new row takes its sorted place.
+        """
+        r = self.reduce(vec)
+        if not r:
+            return False
+        f = self.field
+        p = f.characteristic
+        q = min(r)
+        inv = f.inv(r[q])
+        r = _pruned({k: c * inv for k, c in r.items()}, p)
+        for row in self.row.values():
+            c = row.get(q)
+            if c:
+                for k, x in r.items():
+                    v = row.get(k, 0) - c * x
+                    if p:
+                        v %= p
+                    if v:
+                        row[k] = v
+                    else:
+                        del row[k]
+        self.row[q] = r
+        insort(self.pivots, q)
+        return True
+
+    def dense(self):
+        """(rows, pivots) as tuples, rows in full coordinates, by ascending pivot."""
+        rows = []
+        for q in self.pivots:
+            v = [self.field.zero] * self.ambient
+            for k, c in self.row[q].items():
+                v[k] = c
+            rows.append(tuple(v))
+        return tuple(rows), tuple(self.pivots)
+
+    def subspace(self) -> LinearSubspace:
+        out = LinearSubspace.__new__(LinearSubspace)
+        out.ambient = self.ambient
+        out.field = self.field
+        out.rows, out.pivots = self.dense()
+        return out
+
+    def kernel(self) -> list[dict]:
+        """Basis of the solutions x of row . x = 0 over all rows, one per free column."""
+        f = self.field
+        at = {}  # free column -> entries of its solution at the pivots
+        for q, row in self.row.items():
+            for k, c in row.items():
+                if k != q:
+                    at.setdefault(k, {})[q] = f.neg(c)
+        return [
+            {fc: f.one, **at.get(fc, {})}
+            for fc in range(self.ambient)
+            if fc not in self.row
+        ]
+
+
+def _rref(vectors, ambient, field) -> _Echelon:
+    """The echelon basis of the span of vectors given by their nonzero entries."""
+    ech = _Echelon(ambient, field)
+    for v in vectors:
+        if ech.dim == ambient:
+            break
+        ech.insert(v)
+    return ech
 
 
 def nullspace(rows, ncols, field) -> list[tuple]:
     """Basis of the solution space of (rows) . x = 0."""
-    reduced, pivots = _rref(rows, ncols, field)
-    pivset = set(pivots)
-    free = [c for c in range(ncols) if c not in pivset]
     out = []
-    for fc in free:
+    for sol in _rref(_sparse(rows, ncols), ncols, field).kernel():
         vec = [field.zero] * ncols
-        vec[fc] = field.one
-        for row, p in zip(reduced, pivots):
-            vec[p] = field.neg(row[fc])
+        for k, c in sol.items():
+            vec[k] = c
         out.append(tuple(vec))
     return out
 
@@ -124,33 +213,34 @@ class FinAlgebra:
         for row in self.constants:
             if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
                 raise ValidationError("structure constants are not N x N x N")
+        if not 0 <= unit < self.dim:
+            raise ValidationError(f"unit index {unit} is out of range for dimension {self.dim}")
         self._validate()
 
     def _validate(self):
         f = self.field
         u = self.unit
-        for j in range(self.dim):
-            for k in range(self.dim):
+        d = self.dim
+        for j in range(d):
+            for k in range(d):
                 want = f.one if j == k else f.zero
                 if self.constants[u][j][k] != want or self.constants[j][u][k] != want:
                     raise ValidationError("marked unit element is not a unit")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for l in range(self.dim):
-                    for m in range(self.dim):
-                        lhs = f.zero
-                        rhs = f.zero
-                        for k in range(self.dim):
-                            lhs = f.add(
-                                lhs,
-                                f.mul(self.constants[i][j][k], self.constants[k][l][m]),
-                            )
-                            rhs = f.add(
-                                rhs,
-                                f.mul(self.constants[j][l][k], self.constants[i][k][m]),
-                            )
-                        if lhs != rhs:
-                            raise ValidationError("structure constants not associative")
+        # (e_i e_j) e_l == e_i (e_j e_l), summed over nonzero constants only
+        nz = [[[(k, c) for k, c in enumerate(cell) if c] for cell in row] for row in self.constants]
+        for i in range(d):
+            for j in range(d):
+                for l in range(d):
+                    lhs = {}
+                    for k, a in nz[i][j]:
+                        for m, b in nz[k][l]:
+                            f.acc(lhs, m, f.mul(a, b))
+                    rhs = {}
+                    for k, a in nz[j][l]:
+                        for m, b in nz[i][k]:
+                            f.acc(rhs, m, f.mul(a, b))
+                    if lhs != rhs:
+                        raise ValidationError("structure constants not associative")
 
     def left_mult(self, coords):
         """Matrix of left multiplication by the element with given coordinates."""
@@ -196,93 +286,124 @@ def _multiply(f, constants, u, v):
     return tuple(out)
 
 
-# -- matrix helpers on End(A), flattened row-major --------------------------------
+# -- End(A) as flat row-major d x d matrices, held by their nonzero entries -------
 
 
-def _mat_mul(a, b, field):
-    n = len(a)
-    out = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(n):
-            c = ai[t]
-            if c == 0:
-                continue
-            bt = b[t]
-            oi = out[i]
-            for j in range(n):
-                if bt[j] != 0:
-                    oi[j] = field.add(oi[j], field.mul(c, bt[j]))
-    return out
-
-def _flatten(mat):
-    return tuple(c for row in mat for c in row)
+def _multiplier(mat):
+    """A multiplication matrix L as (by_col, by_row): the nonzero entries
+    (row, value) of each column and (column, value) of each row."""
+    d = len(mat)
+    by_col = [[] for _ in range(d)]
+    by_row = [[] for _ in range(d)]
+    for i, row in enumerate(mat):
+        for j, c in enumerate(row):
+            if c:
+                by_col[j].append((i, c))
+                by_row[i].append((j, c))
+    return by_col, by_row
 
 
-def _unflatten(vec, n):
-    return [list(vec[i * n : (i + 1) * n]) for i in range(n)]
+def _mat_mul(mult, phi: dict, d: int, p: int, left: bool) -> dict:
+    """L.phi (left) or phi.L for a multiplier L and a flat d x d matrix phi."""
+    by_col, by_row = mult
+    out = {}
+    for pos, v in phi.items():
+        i, j = divmod(pos, d)
+        if left:  # phi[i][j] reaches (L.phi)[r][j] through L[r][i]
+            for r, c in by_col[i]:
+                k = r * d + j
+                out[k] = out.get(k, 0) + c * v
+        else:  # phi[i][j] reaches (phi.L)[i][s] through L[j][s]
+            for s, c in by_row[j]:
+                k = i * d + s
+                out[k] = out.get(k, 0) + v * c
+    return _pruned(out, p)
 
 
-def _commute_constraint_rows(mults, phi_mat, field):
-    """Rows of [L, phi] for every multiplication matrix L, as flat vectors."""
-    out = []
-    for L in mults:
-        lhs = _mat_mul(L, phi_mat, field)
-        rhs = _mat_mul(phi_mat, L, field)
-        out.append(
-            tuple(
-                field.sub(a, b)
-                for ra, rb in zip(lhs, rhs)
-                for a, b in zip(ra, rb)
-            )
-        )
-    return out
+def _commutator_column(mult, a: int, b: int, d: int, p: int) -> dict:
+    """[L, E_ab] read off L: L[i][a] at (i, b) and -L[b][j] at (a, j)."""
+    by_col, by_row = mult
+    out = {i * d + b: c for i, c in by_col[a]}
+    for j, c in by_row[b]:
+        k = a * d + j
+        out[k] = out.get(k, 0) - c
+    return _pruned(out, p)
 
 
-def _centre_of_quotient(alg, mults, prev: LinearSubspace | None):
-    """Operators phi with [L_i, phi] inside prev (or zero), as a vector list."""
+def _close(ech: _Echelon, vectors, mults, d: int):
+    """Grow ech by vectors, then by L.phi and phi.L for every multiplier L
+    and every phi that went in, until nothing new goes in or ech is full.
+
+    The multipliers span a unital subalgebra, so this adds the span of
+    every a.phi.b; each vector is multiplied once.
+    """
+    p = ech.field.characteristic
+    full = d * d
+    queue = []
+    for v in vectors:
+        if ech.dim == full:
+            return
+        if ech.insert(v):
+            queue.append(v)
+    while queue:
+        phi = queue.pop()
+        for mult in mults:
+            for left in (True, False):
+                if ech.dim == full:
+                    return
+                prod = _mat_mul(mult, phi, d, p, left)
+                if ech.insert(prod):
+                    queue.append(prod)
+
+
+def _centre_of_quotient(alg, mults, prev: _Echelon | None) -> list[dict]:
+    """Operators phi with [L, phi] inside prev (or zero) for every multiplier L.
+
+    prev is a bimodule, so it lies among the solutions; they are prev plus
+    the solutions that vanish at prev's pivots, and only a basis of the
+    latter is returned.  The unknowns are the unit matrices E_ab off those
+    pivots, one column of constraints per multiplier and unknown.
+    """
     d = alg.dim
-    nn = d * d
     f = alg.field
-    constraint_rows = []
-    # columns of the constraint map, one per coordinate of phi
-    for idx in range(nn):
-        phi = _unflatten(
-            tuple(f.one if t == idx else f.zero for t in range(nn)), d
-        )
-        cols = []
-        for row in _commute_constraint_rows(mults, phi, f):
-            cols.extend(prev.reduce(row) if prev is not None else row)
-        constraint_rows.append(tuple(cols))
-    # transpose: constraints as rows over the nn unknowns
-    height = len(constraint_rows[0])
-    system = [
-        tuple(constraint_rows[c][r] for c in range(nn)) for r in range(height)
-    ]
-    return nullspace(system, nn, f)
+    p = f.characteristic
+    free = [k for k in range(d * d) if prev is None or k not in prev.row]
+    system = {}  # (multiplier, position) -> {unknown: coefficient}
+    for u, k in enumerate(free):
+        a, b = divmod(k, d)
+        for g, mult in enumerate(mults):
+            col = _commutator_column(mult, a, b, d, p)
+            if prev is not None:
+                col = prev.reduce(col)
+            for q, c in col.items():
+                system.setdefault((g, q), {})[u] = c
+    sols = _rref(system.values(), len(free), f).kernel()
+    return [{free[u]: c for u, c in sol.items()} for sol in sols]
+
+
+def _left_mults(alg, coords):
+    """The multipliers of left multiplication by each coordinate vector."""
+    return [_multiplier(alg.left_mult(v)) for v in coords]
 
 
 def bimodule_center(alg: FinAlgebra) -> LinearSubspace:
     """Operators commuting with the bimodule action; the right multiplications."""
-    mults = [alg.left_mult(alg.basis_coords(i)) for i in range(alg.dim)]
-    vecs = _centre_of_quotient(alg, mults, None)
-    return LinearSubspace(alg.dim * alg.dim, alg.field, vecs)
+    mults = _left_mults(alg, [alg.basis_coords(i) for i in range(alg.dim)])
+    return _rref(_centre_of_quotient(alg, mults, None), alg.dim**2, alg.field).subspace()
 
 
 def bimodule_span(alg: FinAlgebra, sub: LinearSubspace, mults=None) -> LinearSubspace:
-    """Span of a . phi . b over basis multipliers a, b and phi in the subspace."""
-    f = alg.field
+    """Span of a . phi . b over basis multipliers a, b and phi in the subspace.
+
+    Given mults must span a unital subalgebra of End(A), as the left
+    multiplications by the basis (the default) do.
+    """
     d = alg.dim
     if mults is None:
         mults = [alg.left_mult(alg.basis_coords(i)) for i in range(d)]
-    vecs = []
-    for row in sub.rows:
-        phi = _unflatten(row, d)
-        for La in mults:
-            left = _mat_mul(La, phi, f)
-            for Lb in mults:
-                vecs.append(_flatten(_mat_mul(left, Lb, f)))
-    return LinearSubspace(d * d, f, vecs)
+    ech = _Echelon(d * d, alg.field)
+    _close(ech, _sparse(sub.rows, d * d), [_multiplier(L) for L in mults], d)
+    return ech.subspace()
 
 
 @dataclass
@@ -308,25 +429,24 @@ class FiltrationReport:
 
 
 def _filtration(alg: FinAlgebra, mults, i_max: int) -> FiltrationReport:
+    """Level 0 is the closure of the centre; level i+1 is level i closed
+    together with the solutions of the centre of End(A)/level i."""
     d = alg.dim
     full = d * d
-    centre = LinearSubspace(full, alg.field, _centre_of_quotient(alg, mults, None))
-    current = bimodule_span(alg, centre, mults)
-    levels = [(0, current)]
-    stabilized = 0 if current.dim == full else None
+    ech = _Echelon(full, alg.field)
+    _close(ech, _centre_of_quotient(alg, mults, None), mults, d)
+    levels = [(0, ech.subspace())]
+    stabilized = 0 if ech.dim == full else None
     i = 0
     while stabilized is None and i < i_max:
         i += 1
-        sols = _centre_of_quotient(alg, mults, current)
-        nxt = bimodule_span(
-            alg, LinearSubspace(full, alg.field, sols), mults
-        ).sum(current.rows)
-        if nxt.dim == current.dim:
+        before = ech.dim
+        _close(ech, _centre_of_quotient(alg, mults, ech), mults, d)
+        if ech.dim == before:
             stabilized = i - 1
             break
-        current = nxt
-        levels.append((i, current))
-        if current.dim == full:
+        levels.append((i, ech.subspace()))
+        if ech.dim == full:
             stabilized = i
     return FiltrationReport(levels, stabilized)
 
@@ -335,7 +455,7 @@ def z_filtration(alg: FinAlgebra, i_max: int | None = None) -> FiltrationReport:
     """The differential filtration of End(A) as an A-bimodule."""
     if i_max is None:
         i_max = alg.dim * alg.dim
-    mults = [alg.left_mult(alg.basis_coords(i)) for i in range(alg.dim)]
+    mults = _left_mults(alg, [alg.basis_coords(i) for i in range(alg.dim)])
     return _filtration(alg, mults, i_max)
 
 
@@ -366,8 +486,7 @@ def relative_z_filtration(
         for w in basis:
             if not span.contains(alg.multiply(v, w)):
                 raise ValidationError("basis does not span a subalgebra")
-    mults = [alg.left_mult(v) for v in basis]
-    return _filtration(alg, mults, i_max)
+    return _filtration(alg, _left_mults(alg, basis), i_max)
 
 
 # -- small builders ---------------------------------------------------------------
@@ -498,7 +617,10 @@ def finalgebra_from_record(rec: dict) -> FinAlgebra:
     if rec.get("variables"):
         raise ValidationError("finite-dimensional oracle needs scalar entries")
     field = FieldSpec(char)
-    constants = [
-        [[field.coerce(str(c)) for c in cell] for cell in row] for row in table
-    ]
+    try:
+        constants = [
+            [[field.coerce(str(c)) for c in cell] for cell in row] for row in table
+        ]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad algebra record: {exc}") from None
     return FinAlgebra(field, constants, unit, rec.get("labels"))

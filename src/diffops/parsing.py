@@ -253,8 +253,8 @@ class _Evaluator:
         self.unit = unit
 
     def eval(self, node):
-        if isinstance(node, BinOp) and node.op in "+-":
-            return self.sum(node)
+        if isinstance(node, BinOp):
+            return self.sum(node) if node.op in "+-" else self.product(node)
         if isinstance(node, Num):
             return self.scalar_value(node.value)
         if isinstance(node, Neg):
@@ -263,12 +263,6 @@ class _Evaluator:
             if node.exponent < 0:
                 raise ValidationError("negative exponent")
             return self.power(self.eval(node.base), node.exponent)
-        if isinstance(node, BinOp):
-            left = self.eval(node.left)
-            right = self.eval(node.right)
-            if node.op == "*":
-                return self.multiply(left, right)
-            return self.divide(left, right)
         if isinstance(node, Sym):
             return self.symbol(node)
         if isinstance(node, Partial):
@@ -292,6 +286,19 @@ class _Evaluator:
             for k, c in self.eval(right).terms.items():
                 f.acc(out, k, f.neg(c) if negate else c)
         return self.kind(self.parent, out)
+
+    def product(self, node):
+        """Fold a chain of * and / in the written order, walking its
+        left-deep spine in a loop as sum does."""
+        factors = []
+        while isinstance(node, BinOp) and node.op in "*/":
+            factors.append((node.op, node.right))
+            node = node.left
+        out = self.eval(node)
+        for op, right in reversed(factors):
+            r = self.eval(right)
+            out = self.multiply(out, r) if op == "*" else self.divide(out, r)
+        return out
 
     def scalar_value(self, v):
         return self.kind(self.parent, {self.unit: self.field.coerce(v)})

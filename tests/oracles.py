@@ -3,14 +3,17 @@
 The multiplication oracle rewrites words one adjacent swap at a time
 (y_i x_i -> x_i y_i - h), deliberately sharing no code with the library's
 closed-form product kernel.  The bracket oracle measures filtration
-membership by brute-force commutator chains.
+membership by brute-force commutator chains.  The finite-dimensional
+filtration oracle follows the definition literally, with dense d x d
+matrix products and Gauss-Jordan elimination over all rows, and imports
+nothing from ``diffops.findim``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from diffops import HElement, DOperator, lambda_of, op_commutator
+from diffops import DOperator, FieldSpec, HElement, lambda_of, op_commutator
 from diffops.heisenberg import AlgebraContext
 
 
@@ -112,6 +115,190 @@ def bracket_vanishing_index(d: DOperator, cap: int = 8) -> int:
         if all_chains_vanish(d, l + 1):
             return l
     raise AssertionError(f"no vanishing index up to {cap}")
+
+
+# -- literal filtration of a finite-dimensional algebra ---------------------------
+
+# Scalars are Fractions when p == 0 and ints in [0, p) otherwise.
+
+
+def _red(c, p):
+    return c % p if p else Fraction(c)
+
+
+def _inv(c, p):
+    return pow(c, -1, p) if p else 1 / Fraction(c)
+
+
+def gauss_jordan(vectors, n, p):
+    """(rows, pivots) of the reduced row echelon form of all the vectors."""
+    rows = [[_red(c, p) for c in v] for v in vectors]
+    pivots = []
+    for col in range(n):
+        r = next((r for r in range(len(pivots), len(rows)) if rows[r][col] != 0), None)
+        if r is None:
+            continue
+        top = len(pivots)
+        rows[top], rows[r] = rows[r], rows[top]
+        inv = _inv(rows[top][col], p)
+        rows[top] = [_red(c * inv, p) for c in rows[top]]
+        for s in range(len(rows)):
+            c = rows[s][col]
+            if s != top and c != 0:
+                rows[s] = [_red(a - c * b, p) for a, b in zip(rows[s], rows[top])]
+        pivots.append(col)
+    return tuple(tuple(r) for r in rows[: len(pivots)]), tuple(pivots)
+
+
+def _kernel(rows, n, p):
+    red, pivots = gauss_jordan(rows, n, p)
+    out = []
+    for fc in (c for c in range(n) if c not in pivots):
+        v = [_red(0, p)] * n
+        v[fc] = _red(1, p)
+        for row, q in zip(red, pivots):
+            v[q] = _red(-row[fc], p)
+        out.append(v)
+    return out
+
+
+def _matmul(a, b, p):
+    d = len(a)
+    return [
+        [_red(sum(a[i][t] * b[t][j] for t in range(d)), p) for j in range(d)]
+        for i in range(d)
+    ]
+
+
+def _flat(m):
+    return [c for row in m for c in row]
+
+
+def _residual(vec, rows, pivots, p):
+    v = list(vec)
+    for row, q in zip(rows, pivots):
+        c = v[q]
+        v = [_red(a - c * b, p) for a, b in zip(v, row)]
+    return v
+
+
+def literal_filtration(constants, p, multipliers, i_max=None):
+    """Levels of the differential filtration of End(A), from the definition.
+
+    ``multipliers`` are coordinate vectors whose left multiplications act
+    on both sides (every basis vector for the absolute filtration, a basis
+    of the central subalgebra for the relative one).  Returns the
+    (rows, pivots) of each level and the index where the chain stabilized
+    (None if it did not within i_max).
+    """
+    d = len(constants)
+    n = d * d
+    if i_max is None:
+        i_max = n
+    Ls = [
+        [[_red(sum(x[i] * constants[i][j][k] for i in range(d)), p) for j in range(d)]
+         for k in range(d)]
+        for x in multipliers
+    ]
+
+    def units():
+        for idx in range(n):
+            yield [[_red(1 if r * d + c == idx else 0, p) for c in range(d)] for r in range(d)]
+
+    def centre(rows, pivots):
+        columns = []
+        for E in units():
+            col = []
+            for L in Ls:
+                comm = [
+                    _red(a - b, p)
+                    for a, b in zip(_flat(_matmul(L, E, p)), _flat(_matmul(E, L, p)))
+                ]
+                col += _residual(comm, rows, pivots, p)
+            columns.append(col)
+        return _kernel([list(r) for r in zip(*columns)], n, p)
+
+    def span(vectors, rows):
+        out = list(rows)
+        for v in vectors:
+            phi = [list(v[r * d : r * d + d]) for r in range(d)]
+            for La in Ls:
+                left = _matmul(La, phi, p)
+                for Lb in Ls:
+                    out.append(_flat(_matmul(left, Lb, p)))
+        return gauss_jordan(out, n, p)
+
+    current = span(centre((), ()), ())
+    levels = [current]
+    if len(current[0]) == n:
+        return levels, 0
+    for i in range(1, i_max + 1):
+        nxt = span(centre(*current), current[0])
+        if len(nxt[0]) == len(current[0]):
+            return levels, i - 1
+        current = nxt
+        levels.append(current)
+        if len(current[0]) == n:
+            return levels, i
+    return levels, None
+
+
+def matrix_truncated_algebra(n, k, p, rng):
+    """M_n (x) F[e]/(e^k) over F = F_p (Q if p == 0) in a seeded basis.
+
+    The basis e_ij (x) e^a, with e_nn (x) 1 replaced by the identity, is
+    permuted and each vector but the identity rescaled.  Returns
+    (constants, unit index, basis of the central copy of F[e]/(e^k)).
+    """
+    raw = [(i, j, a) for i in range(n) for j in range(n) for a in range(k)]
+    d = len(raw)
+    where_raw = {t: r for r, t in enumerate(raw)}
+    ident = where_raw[(n - 1, n - 1, 0)]
+    diag = [where_raw[(i, i, 0)] for i in range(n)]
+
+    def vec(r):  # basis vector r in raw coordinates
+        return {t: 1 for t in diag} if r == ident else {r: 1}
+
+    def raw_product(u, v):
+        out = {}
+        for s, cu in u.items():
+            i, j, a = raw[s]
+            for t, cv in v.items():
+                j2, l, b = raw[t]
+                if j == j2 and a + b < k:
+                    q = where_raw[(i, l, a + b)]
+                    out[q] = out.get(q, 0) + cu * cv
+        return out
+
+    def coords(u):  # raw coordinates -> coordinates in the basis with the identity
+        out = [0] * d
+        for t, c in u.items():
+            out[t] += c
+        for t in diag[:-1]:
+            out[t] -= out[ident]
+        return out
+
+    order = list(range(d))
+    rng.shuffle(order)
+    scale = [
+        1 if order[r] == ident else random_nonzero_scalar(rng, FieldSpec(p)) for r in range(d)
+    ]
+    pos = {order[r]: r for r in range(d)}
+    constants = [[[_red(0, p)] * d for _ in range(d)] for _ in range(d)]
+    for r in range(d):
+        for s in range(d):
+            prod = coords(raw_product(vec(order[r]), vec(order[s])))
+            for t, c in enumerate(prod):
+                if c:
+                    q = pos[t]
+                    constants[r][s][q] = _red(scale[r] * scale[s] * c * _inv(scale[q], p), p)
+    central = []
+    for a in range(k):
+        v = [_red(0, p)] * d
+        for t in [ident] if a == 0 else [where_raw[(i, i, a)] for i in range(n)]:
+            v[pos[t]] = _inv(scale[pos[t]], p)
+        central.append(v)
+    return constants, pos[ident], central
 
 
 # -- random values ---------------------------------------------------------------

@@ -103,3 +103,30 @@ def test_eta_zeta_roundtrip_via_files(tmp_path):
     rc, out, _ = run_cli(["zeta", alg, str(single)])
     assert rc == 0
     assert out == "t^2*d[t]\n"
+
+
+def _zfilt_record(tmp_path, **changes):
+    rec = {
+        "dim": 2,
+        "characteristic": 5,
+        "variables": [],
+        "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
+    }
+    rec.update(changes)
+    path = tmp_path / "fin.json"
+    path.write_text(json.dumps(rec), encoding="utf-8")
+    return str(path)
+
+
+def test_zfilt_unit_out_of_range_is_exit_one(tmp_path):
+    rc, out, err = run_cli(["zfilt", _zfilt_record(tmp_path, unit=5)])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unit index 5" in err
+
+
+def test_zfilt_non_scalar_table_entry_is_exit_one(tmp_path):
+    table = [[["1", "x"], ["0", "1"]], [["0", "1"], ["0", "0"]]]
+    rc, out, err = run_cli(["zfilt", _zfilt_record(tmp_path, table=table)])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: bad algebra record") and err.count("\n") == 1

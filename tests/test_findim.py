@@ -1,5 +1,8 @@
 """The finite-dimensional filtration oracle: centres, spans, filtrations."""
 
+import random
+import time
+
 import pytest
 
 from diffops.errors import ValidationError
@@ -14,10 +17,13 @@ from diffops.findim import (
     finalgebra_from_record,
     finalgebra_to_record,
     matrix_algebra,
+    nullspace,
     relative_z_filtration,
     tensor_algebra,
     z_filtration,
 )
+
+from oracles import gauss_jordan, literal_filtration, matrix_truncated_algebra, random_scalar
 
 F7 = FieldSpec(7)
 F5 = FieldSpec(5)
@@ -250,3 +256,99 @@ def test_record_roundtrip():
     rec["variables"] = ["t"]
     with pytest.raises(ValidationError):
         finalgebra_from_record(rec)
+
+
+def truncated_polynomials(field, k):
+    """F[e]/(e^k) in the basis 1, e, ..., e^(k-1)."""
+    return FinAlgebra(
+        field,
+        [[[1 if c == a + b else 0 for c in range(k)] for b in range(k)] for a in range(k)],
+        0,
+    )
+
+
+# (n, k, p): M_n (x) F_p[e]/(e^k), of dimension n^2 k <= 9
+ORACLE_CASES = [
+    (1, 4, 2), (2, 2, 2),
+    (1, 3, 5), (3, 1, 5), (2, 2, 5),
+    (1, 5, 7), (2, 1, 7),
+    (1, 3, 0), (2, 1, 0),
+]
+
+
+@pytest.mark.parametrize("n,k,p", ORACLE_CASES)
+def test_filtrations_match_literal_oracle(n, k, p):
+    # every level's echelon basis is unique for its span, so the rows and
+    # pivots must equal those of the literal definition exactly
+    constants, unit, central = matrix_truncated_algebra(n, k, p, random.Random(f"{n}/{k}/{p}"))
+    d = len(constants)
+    alg = FinAlgebra(FieldSpec(p), constants, unit)
+    every = [[1 if i == j else 0 for i in range(d)] for j in range(d)]
+    for rep, multipliers in (
+        (z_filtration(alg), every),
+        (relative_z_filtration(alg, central), central),
+    ):
+        levels, stabilized = literal_filtration(constants, p, multipliers)
+        assert [(sub.rows, sub.pivots) for _, sub in rep.levels] == levels
+        assert rep.stabilized_at == stabilized
+
+
+@pytest.mark.parametrize("p", [2, 5, 7, 0])
+def test_insertion_matches_gauss_jordan(p):
+    # low-rank random vectors with duplicates and zeros mixed in, inserted
+    # one at a time, give the oracle's RREF; nullspace gives its kernel
+    f = FieldSpec(p)
+    rng = random.Random(p)
+    for n, rank, count in [(1, 1, 3), (6, 3, 9), (12, 7, 20), (10, 10, 14), (16, 5, 12)]:
+        gens = [[f.coerce(random_scalar(rng, f)) for _ in range(n)] for _ in range(rank)]
+        vecs = []
+        for _ in range(count):
+            coeffs = [f.coerce(random_scalar(rng, f)) for _ in gens]
+            vecs.append(
+                tuple(f.coerce(sum(c * g[j] for c, g in zip(coeffs, gens))) for j in range(n))
+            )
+        vecs += [vecs[0], vecs[-1], tuple([f.zero] * n)]
+        rng.shuffle(vecs)
+        want_rows, want_pivots = gauss_jordan(vecs, n, p)
+        sub = LinearSubspace(n, f, vecs)
+        assert (sub.rows, sub.pivots) == (want_rows, want_pivots)
+        kernel = nullspace(vecs, n, f)
+        assert len(kernel) == n - len(want_rows)
+        for x in kernel:
+            for v in vecs:
+                assert f.coerce(sum(a * b for a, b in zip(v, x))) == 0
+        assert len(gauss_jordan(kernel, n, p)[0]) == len(kernel)
+
+
+def test_validation_rejects_mutated_constants():
+    constants, unit, _ = matrix_truncated_algebra(2, 2, 5, random.Random(11))
+    d = len(constants)
+    FinAlgebra(F5, constants, unit)
+    changed = 0
+    for i in range(d):
+        for j in range(d):
+            for k in range(d):
+                c = constants[i][j][k]
+                if c == 0 or unit in (i, j):
+                    continue
+                bad = [[list(cell) for cell in row] for row in constants]
+                bad[i][j][k] = (c + 1) % 5
+                with pytest.raises(ValidationError, match="structure constants not associative"):
+                    FinAlgebra(F5, bad, unit)
+                changed += 1
+    assert changed > 10
+    with pytest.raises(ValidationError, match="marked unit element is not a unit"):
+        FinAlgebra(F5, constants, (unit + 1) % d)
+    with pytest.raises(ValidationError, match="out of range"):
+        FinAlgebra(F5, constants, d)
+
+
+def test_z_filtration_at_dimension_16_within_budget():
+    # M_2(F_5[e]/e^4): dims are 16 times those of F_5[e]/e^4
+    base = truncated_polynomials(F5, 4)
+    start = time.perf_counter()
+    rep = z_filtration(tensor_algebra(matrix_algebra(2, F5), base))
+    elapsed = time.perf_counter() - start
+    assert rep.dims == [16 * m for m in z_filtration(base).dims] == [64, 112, 160, 208, 256]
+    assert rep.stabilized_at == 4
+    assert elapsed < 15, f"z_filtration at d=16 took {elapsed:.1f}s"

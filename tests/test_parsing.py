@@ -171,6 +171,17 @@ def test_long_sums_round_trip():
     assert operator_from_text(Q2, format_operator(d)) == d
 
 
+def test_long_product_chains():
+    # 1,200 factors fold in a loop, in the written order: y1 stays in front
+    ctx = AlgebraContext(n=1)
+    chain = "*".join(["y1"] + ["x1"] * 1199)
+    assert element_from_text(ctx, chain) == element_from_text(ctx, "y1*x1^1199")
+    assert element_from_text(ctx, chain) != element_from_text(ctx, "x1^1199*y1")
+    assert format_element(element_from_text(ctx, "*".join(["x1"] * 1200))) == "x1^1200"
+    ops = "*".join(["x1"] * 1199 + ["dx1"]) + "/2"
+    assert operator_from_text(ctx, ops) == operator_from_text(ctx, "1/2*x1^1199*dx1")
+
+
 def test_pdop_text_examples():
     ring = PolyRing(("t",), FieldSpec(0))
     d = pdop_from_text(ring, "t^3*d[t]^[2]")
