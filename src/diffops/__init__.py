@@ -7,10 +7,15 @@ Subpackage map:
   filtration degree, scalar reduction, Weyl inner decomposition).
 - ``polyring`` / ``polydiff``: exact polynomials and divided-power
   differential operators on commutative polynomial rings.
-- ``azumaya``: free-over-centre algebras (matrix algebras, H_n in char p),
-  operator matrices, extension/decomposition, the Azumaya isomorphism check.
-- ``findim``: brute-force differential filtration of finite-dimensional
-  algebras by exact linear algebra.
+- ``fields``: exact scalars, the linear-combination core, and
+  ``StructureAlgebra``, the one structure-constant algebra over a field
+  or a polynomial ring (checks, products, multiplication matrices,
+  builder tables, the record reader).
+- ``azumaya``: free-over-centre algebras, ``StructureAlgebra`` over a
+  polynomial ring (matrix algebras, H_n in char p), operator matrices,
+  extension/decomposition, the Azumaya isomorphism check.
+- ``findim``: finite-dimensional algebras, ``StructureAlgebra`` over a
+  field, and their differential filtration by exact linear algebra.
 - ``parsing`` / ``printing`` / ``cli``: the expression language and the
   command-line interface.
 """

@@ -18,8 +18,10 @@ two-sided multiplication map A (x)_R A^o -> Hom_R(A, A).
 
 from __future__ import annotations
 
+from itertools import product
+
 from .errors import MathError, ValidationError
-from .fields import FieldSpec
+from .fields import DUAL_NUMBERS, FieldSpec, StructureAlgebra, matrix_units, read_record
 from .heisenberg import (
     AlgebraContext,
     HElement,
@@ -30,73 +32,18 @@ from .polydiff import PDOp, grothendieck_order_check, p_compose
 from .polyring import Poly, PolyRing, bareiss_determinant
 
 
-class CenteredFreeAlgebra:
-    """Finite free algebra over a central base ring, via structure constants."""
+class CenteredFreeAlgebra(StructureAlgebra):
+    """Finite free algebra over a central base ring, via structure constants.
 
-    def __init__(self, ring: PolyRing, table, labels=None, validate=True):
-        self.ring = ring
-        self.dim = len(table)
-        self.table = table
-        self.labels = list(labels) if labels else [f"a{i}" for i in range(self.dim)]
-        if len(self.labels) != self.dim:
-            raise ValidationError("label count does not match dimension")
-        for row in table:
-            if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
-                raise ValidationError("structure-constant table is not N x N x N")
-        if validate:
-            self._validate()
+    The structure-constant half (checks, products, multiplication
+    matrices) is fields.StructureAlgebra over the ring, with a_0 = 1.
+    """
 
-    def _validate(self):
-        one = self.ring.one()
-        zero = self.ring.zero()
-        for j in range(self.dim):
-            for k in range(self.dim):
-                want = one if j == k else zero
-                if self.table[0][j][k] != want or self.table[j][0][k] != want:
-                    raise ValidationError("a_0 is not a two-sided unit")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                for l in range(self.dim):
-                    for m in range(self.dim):
-                        lhs = zero
-                        rhs = zero
-                        for k in range(self.dim):
-                            lhs = lhs + self.table[i][j][k] * self.table[k][l][m]
-                            rhs = rhs + self.table[j][l][k] * self.table[i][k][m]
-                        if lhs != rhs:
-                            raise ValidationError(
-                                "structure constants are not associative"
-                            )
+    ring = StructureAlgebra.domain
+    prefix = "a"
 
-    # -- elements are coordinate vectors over the base ring -----------------
-
-    def zero_element(self) -> list[Poly]:
-        return [self.ring.zero() for _ in range(self.dim)]
-
-    def unit_element(self) -> list[Poly]:
-        out = self.zero_element()
-        out[0] = self.ring.one()
-        return out
-
-    def basis_element(self, i: int) -> list[Poly]:
-        out = self.zero_element()
-        out[i] = self.ring.one()
-        return out
-
-    def mul_elements(self, u: list[Poly], v: list[Poly]) -> list[Poly]:
-        out = self.zero_element()
-        for i, ui in enumerate(u):
-            if ui.is_zero():
-                continue
-            for j, vj in enumerate(v):
-                if vj.is_zero():
-                    continue
-                w = ui * vj
-                for k in range(self.dim):
-                    r = self.table[i][j][k]
-                    if not r.is_zero():
-                        out[k] = out[k] + w * r
-        return out
+    def __init__(self, ring: PolyRing, table, labels=None):
+        super().__init__(ring, table, 0, labels)
 
     def add_elements(self, u, v):
         return [a + b for a, b in zip(u, v)]
@@ -111,93 +58,40 @@ class CenteredFreeAlgebra:
 
 def build_matrix_algebra(n: int, ring: PolyRing) -> CenteredFreeAlgebra:
     """M_n(R) with basis {1} u {e_ij : (i,j) != (n,n)} so that a_0 = 1."""
-    if n < 1:
-        raise ValidationError("matrix size must be >= 1")
-    pairs = [(i, j) for i in range(n) for j in range(n) if (i, j) != (n - 1, n - 1)]
-    dim = n * n
-
-    def as_matrix(idx):
-        mat = [[0] * n for _ in range(n)]
-        if idx == 0:
-            for i in range(n):
-                mat[i][i] = 1
-        else:
-            i, j = pairs[idx - 1]
-            mat[i][j] = 1
-        return mat
-
-    def coords(mat):
-        # expand in the basis: the unit coefficient is the (n-1, n-1) entry
-        c = mat[n - 1][n - 1]
-        out = [c]
-        for i, j in pairs:
-            out.append(mat[i][j] - (c if i == j else 0))
-        return out
-
-    table = []
-    for a in range(dim):
-        row = []
-        ma = as_matrix(a)
-        for b in range(dim):
-            mb = as_matrix(b)
-            prod = [
-                [sum(ma[i][t] * mb[t][j] for t in range(n)) for j in range(n)]
-                for i in range(n)
-            ]
-            row.append([ring.constant(c) for c in coords(prod)])
-        table.append(row)
-    labels = ["1"] + [f"e{i + 1}{j + 1}" for i, j in pairs]
-    return CenteredFreeAlgebra(ring, table, labels)
+    return CenteredFreeAlgebra(ring, *matrix_units(n))
 
 
 def heisenberg_basis_exponents(n: int, p: int):
     """Reduced exponent pairs (I, J) with 0 <= I, J < p, unit first."""
-    idx = []
+    singles = list(product(range(p), repeat=n))
+    return [(I, J) for I in singles for J in singles]
 
-    def rec(vec, pos, total):
-        if pos == len(vec):
-            total.append(tuple(vec))
-            return
-        for e in range(p):
-            vec[pos] = e
-            rec(vec, pos + 1, total)
-            vec[pos] = 0
 
-    singles: list = []
-    rec([0] * n, 0, singles)
-    for I in singles:
-        for J in singles:
-            idx.append((I, J))
-    idx.sort()
-    return idx
+def _charp_algebra(ctx, ring, split, labels=None) -> CenteredFreeAlgebra:
+    """The family on the basis x^I y^J (0 <= I, J < p) over a central ring;
+    split(u) gives the coordinates of u as {(I, J): polynomial}."""
+    exps = heisenberg_basis_exponents(ctx.n, ctx.field.characteristic)
+    basis = [HElement.monomial(ctx, 0, I, J) for I, J in exps]
+    zero = ring.zero()
+    products = [[split(a * b) for b in basis] for a in basis]
+    table = [[[parts.get(e, zero) for e in exps] for parts in row] for row in products]
+    return CenteredFreeAlgebra(ring, table, labels)
 
 
 def build_heisenberg_charp(n: int, p: int) -> CenteredFreeAlgebra:
     """H_n over its centre k[h, x^p, y^p], basis x^I y^J with 0 <= I, J < p."""
     ctx = AlgebraContext(n, FieldSpec(p))
-    ring = centre_ring(ctx)
-    exps = heisenberg_basis_exponents(n, p)
-    index = {e: i for i, e in enumerate(exps)}
-    dim = len(exps)
-    table = []
-    for I1, J1 in exps:
-        row = []
-        a = HElement.monomial(ctx, 0, I1, J1)
-        for I2, J2 in exps:
-            b = HElement.monomial(ctx, 0, I2, J2)
-            parts = central_decompose(a * b)
-            cell = [ring.zero() for _ in range(dim)]
-            for (zero_m, Ir, Jr), poly in parts.items():
-                cell[index[(Ir, Jr)]] = poly
-            row.append(cell)
-        table.append(row)
     labels = []
-    for I, J in exps:
+    for I, J in heisenberg_basis_exponents(n, p):
         name = "".join(f"x{i + 1}^{e}" for i, e in enumerate(I) if e) + "".join(
             f"y{i + 1}^{e}" for i, e in enumerate(J) if e
         )
         labels.append(name or "1")
-    alg = CenteredFreeAlgebra(ring, table, labels)
+
+    def split(u):
+        return {(I, J): poly for (_m, I, J), poly in central_decompose(u).items()}
+
+    alg = _charp_algebra(ctx, centre_ring(ctx), split, labels)
     alg.heisenberg_params = (n, p)
     return alg
 
@@ -215,34 +109,21 @@ def build_weyl_charp(n: int, p: int) -> CenteredFreeAlgebra:
         f"Y{i}" for i in range(1, n + 1)
     )
     ring = PolyRing(names, FieldSpec(p))
-    exps = heisenberg_basis_exponents(n, p)
-    index = {e: i for i, e in enumerate(exps)}
-    dim = len(exps)
-    table = []
-    for I1, J1 in exps:
-        row = []
-        a = HElement.monomial(ctx, 0, I1, J1)
-        for I2, J2 in exps:
-            b = HElement.monomial(ctx, 0, I2, J2)
-            cell = [ring.zero() for _ in range(dim)]
-            for (_m, I, J), c in (a * b).terms.items():
-                red = (tuple(e % p for e in I), tuple(e % p for e in J))
-                centre = tuple(e // p for e in I) + tuple(e // p for e in J)
-                cell[index[red]] = cell[index[red]] + ring.monomial(centre, c)
-            row.append(cell)
-        table.append(row)
-    return CenteredFreeAlgebra(ring, table)
+
+    def split(u):
+        out = {}
+        for (_m, I, J), c in u.terms.items():
+            red = (tuple(e % p for e in I), tuple(e % p for e in J))
+            centre = tuple(e // p for e in I) + tuple(e // p for e in J)
+            ring.acc(out, red, ring.monomial(centre, c))
+        return out
+
+    return _charp_algebra(ctx, ring, split)
 
 
 def build_dual_numbers(ring: PolyRing) -> CenteredFreeAlgebra:
     """R[eps]/(eps^2): commutative, free of rank 2, not Azumaya over R."""
-    one = ring.one()
-    zero = ring.zero()
-    table = [
-        [[one, zero], [zero, one]],
-        [[zero, one], [zero, zero]],
-    ]
-    return CenteredFreeAlgebra(ring, table, ["1", "eps"])
+    return CenteredFreeAlgebra(ring, *DUAL_NUMBERS)
 
 
 # -- operator matrices ----------------------------------------------------------
@@ -361,34 +242,18 @@ def commutator_matrix(a: OperatorMatrix, b: OperatorMatrix) -> OperatorMatrix:
     return a.compose(b) - b.compose(a)
 
 
+def _mult_operators(alg: CenteredFreeAlgebra, mat) -> OperatorMatrix:
+    return OperatorMatrix(alg.ring, [[PDOp.mult(c) for c in row] for row in mat])
+
+
 def lambda_matrix(alg: CenteredFreeAlgebra, coords: list[Poly]) -> OperatorMatrix:
     """Left multiplication by the element with the given coordinates."""
-    n = alg.dim
-    out = OperatorMatrix.zero(alg.ring, n)
-    for t in range(n):
-        for s in range(n):
-            acc = alg.ring.zero()
-            for i, ui in enumerate(coords):
-                if not ui.is_zero():
-                    acc = acc + ui * alg.table[i][s][t]
-            if not acc.is_zero():
-                out.entries[t][s] = PDOp.mult(acc)
-    return out
+    return _mult_operators(alg, alg.mult_matrix(coords))
 
 
 def rho_matrix(alg: CenteredFreeAlgebra, coords: list[Poly]) -> OperatorMatrix:
     """Right multiplication by the element with the given coordinates."""
-    n = alg.dim
-    out = OperatorMatrix.zero(alg.ring, n)
-    for t in range(n):
-        for s in range(n):
-            acc = alg.ring.zero()
-            for j, uj in enumerate(coords):
-                if not uj.is_zero():
-                    acc = acc + uj * alg.table[s][j][t]
-            if not acc.is_zero():
-                out.entries[t][s] = PDOp.mult(acc)
-    return out
+    return _mult_operators(alg, alg.mult_matrix(coords, right=True))
 
 
 def diagonal_extend(alg: CenteredFreeAlgebra, phi: PDOp) -> OperatorMatrix:
@@ -588,28 +453,21 @@ def algebra_to_record(alg: CenteredFreeAlgebra) -> dict:
     }
 
 
-def algebra_from_record(rec: dict, validate: bool = True) -> CenteredFreeAlgebra:
+def algebra_from_record(rec: dict) -> CenteredFreeAlgebra:
     from .parsing import poly_from_text
 
-    try:
-        dim = int(rec["dim"])
-        char = int(rec["characteristic"])
-        variables = tuple(str(v) for v in rec["variables"])
-        table_rec = rec["table"]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad structure-constant record: {exc}") from None
-    ring = PolyRing(variables, FieldSpec(char))
-    if len(table_rec) != dim:
-        raise ValidationError("structure-constant table size does not match dim")
-    table = [
-        [[poly_from_text(ring, text) for text in cell] for cell in row]
-        for row in table_rec
-    ]
-    labels = rec.get("labels")
-    alg = CenteredFreeAlgebra(ring, table, labels, validate=validate)
+    def polys(field, variables):
+        ring = PolyRing(variables, field)
+        return ring, lambda text: poly_from_text(ring, text)
+
+    ring, table, _unit, labels = read_record(rec, polys)
+    alg = CenteredFreeAlgebra(ring, table, labels)
     hp = rec.get("heisenberg_params")
     if hp:
-        alg.heisenberg_params = tuple(int(v) for v in hp)
+        try:
+            alg.heisenberg_params = tuple(int(v) for v in hp)
+        except (TypeError, ValueError) as exc:
+            raise ValidationError(f"bad algebra record: {exc}") from None
     return alg
 
 

@@ -1,9 +1,13 @@
-"""Exact scalar arithmetic over Q or over a prime field F_p.
+"""Exact scalar arithmetic over Q or over a prime field F_p, and the
+shared cores built on it.
 
 Scalars are plain values: ``fractions.Fraction`` in characteristic 0 and
 ``int`` in the range [0, p) in characteristic p.  A FieldSpec carries the
 characteristic and provides coercion, arithmetic helpers and binomial
 coefficients (by Lucas reduction mod p).  No floating point anywhere.
+Combination is the one linear-combination core of the value types, and
+StructureAlgebra the one structure-constant algebra, over a FieldSpec
+(findim.FinAlgebra) or a PolyRing (azumaya.CenteredFreeAlgebra).
 """
 
 from __future__ import annotations
@@ -153,6 +157,9 @@ class Combination:
     def is_zero(self) -> bool:
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def _check(self, other):
         if self.parent != other.parent:
             raise IncompatibleContextError(
@@ -193,6 +200,160 @@ class Combination:
         return type(self)(self.parent, {k: f.mul(v, c) for k, v in self.terms.items()})
 
     __rmul__ = scale
+
+
+# -- algebras by structure constants ----------------------------------------------
+
+
+class StructureAlgebra:
+    """An algebra free of rank N over a coefficient domain, by structure constants.
+
+    e_i e_j = sum_k table[i][j][k] e_k, and e_unit is the unit.  The domain
+    is a FieldSpec (scalar constants) or a PolyRing (polynomial constants);
+    its coerce, mul and acc are all the arithmetic used here.  Elements are
+    lists of N coordinates.
+    """
+
+    __slots__ = ("domain", "dim", "table", "unit", "labels", "zero", "one", "_nz")
+    prefix = "e"  # of the default labels
+
+    def __init__(self, domain, table, unit: int = 0, labels=None):
+        d = len(table)
+        for row in table:
+            if len(row) != d or any(len(cell) != d for cell in row):
+                raise ValidationError("structure constants are not N x N x N")
+        if not 0 <= unit < d:
+            raise ValidationError(f"unit index {unit} is out of range for dimension {d}")
+        if labels is None:
+            labels = [f"{self.prefix}{i}" for i in range(d)]
+        if not isinstance(labels, (list, tuple)) or len(labels) != d or not all(
+            isinstance(s, str) for s in labels
+        ):
+            raise ValidationError(f"labels must be a list of {d} strings")
+        self.domain = domain
+        self.dim = d
+        self.table = [[[domain.coerce(c) for c in cell] for cell in row] for row in table]
+        self.unit = unit
+        self.labels = list(labels)
+        self.zero = domain.coerce(0)
+        self.one = domain.coerce(1)
+        self._nz = [
+            [[(k, c) for k, c in enumerate(cell) if c] for cell in row]
+            for row in self.table
+        ]
+        self._validate()
+
+    def _validate(self):
+        t, u, r = self.table, self.unit, range(self.dim)
+        for j in r:
+            for k in r:
+                want = self.one if j == k else self.zero
+                if t[u][j][k] != want or t[j][u][k] != want:
+                    raise ValidationError("marked unit element is not a unit")
+        # (e_i e_j) e_l == e_i (e_j e_l), summed over nonzero constants only
+        nz, mul, acc = self._nz, self.domain.mul, self.domain.acc
+        for i in r:
+            for j in r:
+                for l in r:
+                    lhs = {}
+                    for k, a in nz[i][j]:
+                        for m, b in nz[k][l]:
+                            acc(lhs, m, mul(a, b))
+                    rhs = {}
+                    for k, a in nz[j][l]:
+                        for m, b in nz[i][k]:
+                            acc(rhs, m, mul(a, b))
+                    if lhs != rhs:
+                        raise ValidationError("structure constants not associative")
+
+    def zero_element(self) -> list:
+        return [self.zero] * self.dim
+
+    def basis_element(self, i: int) -> list:
+        out = self.zero_element()
+        out[i] = self.one
+        return out
+
+    def unit_element(self) -> list:
+        return self.basis_element(self.unit)
+
+    def mul_elements(self, u, v) -> list:
+        zero, nz, mul, acc = self.zero, self._nz, self.domain.mul, self.domain.acc
+        out = {}
+        for i, a in enumerate(u):
+            if a:
+                for j, b in enumerate(v):
+                    if b:
+                        ab = mul(a, b)
+                        for k, c in nz[i][j]:
+                            acc(out, k, mul(ab, c))
+        return [out.get(k, zero) for k in range(self.dim)]
+
+    def mult_matrix(self, u, right: bool = False) -> list:
+        """Matrix of c -> u c (c -> c u if right); column s is the image of e_s."""
+        zero, nz, mul, acc = self.zero, self._nz, self.domain.mul, self.domain.acc
+        r = range(self.dim)
+        rows = [{} for _ in r]
+        for i, a in enumerate(u):
+            if a:
+                for s in r:
+                    for t, c in nz[s][i] if right else nz[i][s]:
+                        acc(rows[t], s, mul(a, c))
+        return [[row.get(s, zero) for s in r] for row in rows]
+
+
+#: k[eps]/(eps^2) in the basis 1, eps, as integer structure constants and labels
+DUAL_NUMBERS = ([[[1, 0], [0, 1]], [[0, 1], [0, 0]]], ["1", "eps"])
+
+
+def matrix_units(n: int):
+    """M_n in the basis 1, e11, e12, ..., e_n(n-1): every matrix unit but e_nn,
+    which the unit replaces.  Integer structure constants and labels, unit first."""
+    if n < 1:
+        raise ValidationError("matrix size must be >= 1")
+    pairs = [(i, j) for i in range(n) for j in range(n)][:-1]
+    basis = [{(i, i): 1 for i in range(n)}] + [{ij: 1} for ij in pairs]
+
+    def coords(a, b):  # of the product ab; the unit's coefficient is its (n, n) entry
+        prod = {}
+        for (i, t), x in a.items():
+            for (s, j), y in b.items():
+                if t == s:
+                    prod[i, j] = prod.get((i, j), 0) + x * y
+        c = prod.get((n - 1, n - 1), 0)
+        return [c] + [prod.get((i, j), 0) - (c if i == j else 0) for i, j in pairs]
+
+    table = [[coords(a, b) for b in basis] for a in basis]
+    return table, ["1"] + [f"e{i + 1}{j + 1}" for i, j in pairs]
+
+
+def _expect(value, kind):
+    if not isinstance(value, kind):
+        raise TypeError(f"{value!r} is not a {kind.__name__}")
+    return value
+
+
+def read_record(rec: dict, domain_of):
+    """(domain, table, unit, labels) of a structure-constant record, or ValidationError.
+
+    domain_of(field, variables) gives the coefficient domain and the reader
+    of one table entry (a string); the algebra's constructor checks the rest.
+    """
+    try:
+        field = FieldSpec(int(rec["characteristic"]))
+        variables = tuple(str(v) for v in rec.get("variables", ()))
+        unit = int(rec.get("unit", 0))
+        table = _expect(rec["table"], list)
+        if int(rec.get("dim", len(table))) != len(table):
+            raise ValueError("table size does not match dim")
+        domain, entry = domain_of(field, variables)
+        table = [
+            [[entry(_expect(t, str)) for t in _expect(cell, list)] for cell in _expect(row, list)]
+            for row in table
+        ]
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad algebra record: {exc}") from None
+    return domain, table, unit, rec.get("labels")
 
 
 def _parse_scalar_literal(text: str):

@@ -1,8 +1,8 @@
 """Differential filtration of finite-dimensional algebras.
 
-Everything here is exact linear algebra over Q or F_p on the coordinate
-space End(A) of a finite-dimensional algebra A given by structure
-constants.  Z_0 is the span of both-sided multiples of the bimodule
+A FinAlgebra is fields.StructureAlgebra with scalar structure constants.
+The filtration is exact linear algebra over Q or F_p on the coordinate
+space End(A) of a FinAlgebra A.  Z_0 is the span of both-sided multiples of the bimodule
 centre of End(A), and each next level is the bimodule span of the
 preimage of the centre of the quotient.  Subspaces are reduced row
 echelon bases grown one vector at a time, and a level grows from the one
@@ -17,7 +17,7 @@ from bisect import insort
 from dataclasses import dataclass
 
 from .errors import ValidationError
-from .fields import FieldSpec
+from .fields import DUAL_NUMBERS, FieldSpec, StructureAlgebra, matrix_units, read_record
 
 
 class LinearSubspace:
@@ -52,9 +52,6 @@ class LinearSubspace:
 
     def contains_subspace(self, other: "LinearSubspace") -> bool:
         return all(self.contains(row) for row in other.rows)
-
-    def sum(self, vectors) -> "LinearSubspace":
-        return LinearSubspace(self.ambient, self.field, list(self.rows) + list(vectors))
 
     def __eq__(self, other):
         return (
@@ -199,91 +196,10 @@ def nullspace(rows, ncols, field) -> list[tuple]:
     return out
 
 
-class FinAlgebra:
+class FinAlgebra(StructureAlgebra):
     """Finite-dimensional algebra by scalar structure constants e_i e_j = sum c_ijk e_k."""
 
-    def __init__(self, field: FieldSpec, constants, unit: int = 0, labels=None):
-        self.field = field
-        self.dim = len(constants)
-        self.constants = [
-            [[field.coerce(c) for c in cell] for cell in row] for row in constants
-        ]
-        self.unit = unit
-        self.labels = list(labels) if labels else [f"e{i}" for i in range(self.dim)]
-        for row in self.constants:
-            if len(row) != self.dim or any(len(cell) != self.dim for cell in row):
-                raise ValidationError("structure constants are not N x N x N")
-        if not 0 <= unit < self.dim:
-            raise ValidationError(f"unit index {unit} is out of range for dimension {self.dim}")
-        self._validate()
-
-    def _validate(self):
-        f = self.field
-        u = self.unit
-        d = self.dim
-        for j in range(d):
-            for k in range(d):
-                want = f.one if j == k else f.zero
-                if self.constants[u][j][k] != want or self.constants[j][u][k] != want:
-                    raise ValidationError("marked unit element is not a unit")
-        # (e_i e_j) e_l == e_i (e_j e_l), summed over nonzero constants only
-        nz = [[[(k, c) for k, c in enumerate(cell) if c] for cell in row] for row in self.constants]
-        for i in range(d):
-            for j in range(d):
-                for l in range(d):
-                    lhs = {}
-                    for k, a in nz[i][j]:
-                        for m, b in nz[k][l]:
-                            f.acc(lhs, m, f.mul(a, b))
-                    rhs = {}
-                    for k, a in nz[j][l]:
-                        for m, b in nz[i][k]:
-                            f.acc(rhs, m, f.mul(a, b))
-                    if lhs != rhs:
-                        raise ValidationError("structure constants not associative")
-
-    def left_mult(self, coords):
-        """Matrix of left multiplication by the element with given coordinates."""
-        f = self.field
-        d = self.dim
-        out = [[f.zero] * d for _ in range(d)]
-        for i, c in enumerate(coords):
-            if c == 0:
-                continue
-            for j in range(d):
-                for k in range(d):
-                    v = self.constants[i][j][k]
-                    if v != 0:
-                        out[k][j] = f.add(out[k][j], f.mul(c, v))
-        return out
-
-    def basis_coords(self, i):
-        f = self.field
-        return tuple(f.one if j == i else f.zero for j in range(self.dim))
-
-    def unit_coords(self):
-        return self.basis_coords(self.unit)
-
-    def multiply(self, u, v):
-        return _multiply(self.field, self.constants, u, v)
-
-
-def _multiply(f, constants, u, v):
-    """Coordinates of u * v under the structure constants."""
-    d = len(constants)
-    out = [f.zero] * d
-    for i, a in enumerate(u):
-        if a == 0:
-            continue
-        for j, b in enumerate(v):
-            if b == 0:
-                continue
-            ab = f.mul(a, b)
-            for k in range(d):
-                c = constants[i][j][k]
-                if c != 0:
-                    out[k] = f.add(out[k], f.mul(ab, c))
-    return tuple(out)
+    field = StructureAlgebra.domain
 
 
 # -- End(A) as flat row-major d x d matrices, held by their nonzero entries -------
@@ -381,14 +297,16 @@ def _centre_of_quotient(alg, mults, prev: _Echelon | None) -> list[dict]:
     return [{free[u]: c for u, c in sol.items()} for sol in sols]
 
 
-def _left_mults(alg, coords):
-    """The multipliers of left multiplication by each coordinate vector."""
-    return [_multiplier(alg.left_mult(v)) for v in coords]
+def _left_mults(alg, coords=None):
+    """The multipliers of left multiplication by each of coords (default: the basis)."""
+    if coords is None:
+        coords = [alg.basis_element(i) for i in range(alg.dim)]
+    return [_multiplier(alg.mult_matrix(v)) for v in coords]
 
 
 def bimodule_center(alg: FinAlgebra) -> LinearSubspace:
     """Operators commuting with the bimodule action; the right multiplications."""
-    mults = _left_mults(alg, [alg.basis_coords(i) for i in range(alg.dim)])
+    mults = _left_mults(alg)
     return _rref(_centre_of_quotient(alg, mults, None), alg.dim**2, alg.field).subspace()
 
 
@@ -399,10 +317,9 @@ def bimodule_span(alg: FinAlgebra, sub: LinearSubspace, mults=None) -> LinearSub
     multiplications by the basis (the default) do.
     """
     d = alg.dim
-    if mults is None:
-        mults = [alg.left_mult(alg.basis_coords(i)) for i in range(d)]
+    mults = _left_mults(alg) if mults is None else [_multiplier(L) for L in mults]
     ech = _Echelon(d * d, alg.field)
-    _close(ech, _sparse(sub.rows, d * d), [_multiplier(L) for L in mults], d)
+    _close(ech, _sparse(sub.rows, d * d), mults, d)
     return ech.subspace()
 
 
@@ -455,8 +372,7 @@ def z_filtration(alg: FinAlgebra, i_max: int | None = None) -> FiltrationReport:
     """The differential filtration of End(A) as an A-bimodule."""
     if i_max is None:
         i_max = alg.dim * alg.dim
-    mults = _left_mults(alg, [alg.basis_coords(i) for i in range(alg.dim)])
-    return _filtration(alg, mults, i_max)
+    return _filtration(alg, _left_mults(alg), i_max)
 
 
 def relative_z_filtration(
@@ -470,21 +386,24 @@ def relative_z_filtration(
     if i_max is None:
         i_max = alg.dim * alg.dim
     f = alg.field
-    basis = [tuple(f.coerce(c) for c in v) for v in central_basis]
+    try:
+        basis = [[f.coerce(c) for c in v] for v in central_basis]
+    except (TypeError, ValueError, ZeroDivisionError) as exc:
+        raise ValidationError(f"bad central subalgebra basis: {exc}") from None
     if not basis:
         raise ValidationError("central subalgebra basis is empty")
     span = LinearSubspace(alg.dim, f, basis)
     if span.dim != len(basis):
         raise ValidationError("central subalgebra basis is linearly dependent")
-    if not span.contains(alg.unit_coords()):
+    if not span.contains(alg.unit_element()):
         raise ValidationError("central subalgebra does not contain the unit")
     for v in basis:
         for i in range(alg.dim):
-            e = alg.basis_coords(i)
-            if alg.multiply(v, e) != alg.multiply(e, v):
+            e = alg.basis_element(i)
+            if alg.mul_elements(v, e) != alg.mul_elements(e, v):
                 raise ValidationError("subalgebra basis element is not central")
         for w in basis:
-            if not span.contains(alg.multiply(v, w)):
+            if not span.contains(alg.mul_elements(v, w)):
                 raise ValidationError("basis does not span a subalgebra")
     return _filtration(alg, _left_mults(alg, basis), i_max)
 
@@ -493,71 +412,19 @@ def relative_z_filtration(
 
 
 def field_algebra(field: FieldSpec) -> FinAlgebra:
-    return FinAlgebra(field, [[[field.one]]], 0, ["1"])
+    return FinAlgebra(field, [[[1]]], 0, ["1"])
 
 
 def dual_numbers_algebra(field: FieldSpec) -> FinAlgebra:
-    f = field
-    z, o = f.zero, f.one
-    constants = [
-        [[o, z], [z, o]],
-        [[z, o], [z, z]],
-    ]
-    return FinAlgebra(field, constants, 0, ["1", "eps"])
+    return FinAlgebra(field, DUAL_NUMBERS[0], 0, DUAL_NUMBERS[1])
 
 
 def matrix_algebra(n: int, field: FieldSpec) -> FinAlgebra:
-    """M_n(k) in the basis of matrix units e_(i,j)."""
-    f = field
-    d = n * n
-
-    def idx(i, j):
-        return i * n + j
-
-    constants = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                for l in range(n):
-                    if j == k:
-                        constants[idx(i, j)][idx(k, l)][idx(i, l)] = f.one
-    # change to a basis containing the unit: keep matrix units but mark no
-    # single unit index; instead extend with an explicit basis change
-    labels = [f"e{i + 1}{j + 1}" for i in range(n) for j in range(n)]
-    return _with_unit_basis(FieldSpec(field.characteristic), constants, labels, n)
-
-
-def _with_unit_basis(field, constants, labels, n):
-    # replace e_nn by the identity so that some basis vector is the unit
-    f = field
-    d = len(constants)
-    last = d - 1
-    # new basis: b_i = e_i for i < last, b_last = sum of diagonal units
-    diag = [i * n + i for i in range(n)]
-
-    def new_to_old(i):
-        vec = [f.zero] * d
-        if i == last:
-            for t in diag:
-                vec[t] = f.one
-        else:
-            vec[i] = f.one
-        return vec
-
-    def old_to_new(vec):
-        out = list(vec)
-        c = out[last]
-        for t in diag[:-1]:
-            out[t] = f.sub(out[t], c)
-        return out
-
-    table = []
-    for i in range(d):
-        row = []
-        for j in range(d):
-            row.append(old_to_new(_multiply(f, constants, new_to_old(i), new_to_old(j))))
-        table.append(row)
-    return FinAlgebra(f, table, last, labels[:-1] + ["1"])
+    """M_n(k) in the basis of matrix units e_(i,j), with the unit for e_nn last."""
+    table, labels = matrix_units(n)
+    last = list(range(1, n * n)) + [0]
+    table = [[[table[a][b][c] for c in last] for b in last] for a in last]
+    return FinAlgebra(field, table, n * n - 1, labels[1:] + labels[:1])
 
 
 def tensor_algebra(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
@@ -565,29 +432,19 @@ def tensor_algebra(a: FinAlgebra, b: FinAlgebra) -> FinAlgebra:
     if a.field != b.field:
         raise ValidationError("tensor factors over different fields")
     f = a.field
-    da, db = a.dim, b.dim
-    d = da * db
-
-    def idx(i, u):
-        return i * db + u
-
-    constants = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
-    for i in range(da):
-        for j in range(da):
-            for u in range(db):
-                for v in range(db):
-                    for k in range(da):
-                        c1 = a.constants[i][j][k]
-                        if c1 == 0:
-                            continue
-                        for w in range(db):
-                            c2 = b.constants[u][v][w]
-                            if c2 != 0:
-                                constants[idx(i, u)][idx(j, v)][idx(k, w)] = f.mul(
-                                    c1, c2
-                                )
+    db = b.dim
+    d = a.dim * db
+    table = [[[f.zero] * d for _ in range(d)] for _ in range(d)]
+    for i, row in enumerate(a._nz):
+        for j, cell in enumerate(row):
+            for u, brow in enumerate(b._nz):
+                for v, bcell in enumerate(brow):
+                    out = table[i * db + u][j * db + v]
+                    for k, c1 in cell:
+                        for w, c2 in bcell:
+                            out[k * db + w] = f.mul(c1, c2)
     labels = [f"{la}.{lb}" for la in a.labels for lb in b.labels]
-    return FinAlgebra(f, constants, idx(a.unit, b.unit), labels)
+    return FinAlgebra(f, table, a.unit * db + b.unit, labels)
 
 
 # -- records ------------------------------------------------------------------------
@@ -600,27 +457,14 @@ def finalgebra_to_record(alg: FinAlgebra) -> dict:
         "variables": [],
         "unit": alg.unit,
         "labels": list(alg.labels),
-        "table": [
-            [[alg.field.format(c) for c in cell] for cell in row]
-            for row in alg.constants
-        ],
+        "table": [[[alg.field.format(c) for c in cell] for cell in row] for row in alg.table],
     }
 
 
 def finalgebra_from_record(rec: dict) -> FinAlgebra:
-    try:
-        char = int(rec["characteristic"])
-        table = rec["table"]
-        unit = int(rec.get("unit", 0))
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ValidationError(f"bad algebra record: {exc}") from None
-    if rec.get("variables"):
-        raise ValidationError("finite-dimensional oracle needs scalar entries")
-    field = FieldSpec(char)
-    try:
-        constants = [
-            [[field.coerce(str(c)) for c in cell] for cell in row] for row in table
-        ]
-    except (TypeError, ValueError, ZeroDivisionError) as exc:
-        raise ValidationError(f"bad algebra record: {exc}") from None
-    return FinAlgebra(field, constants, unit, rec.get("labels"))
+    def scalars(field, variables):
+        if variables:
+            raise ValidationError("finite-dimensional oracle needs scalar entries")
+        return field, field.coerce
+
+    return FinAlgebra(*read_record(rec, scalars))

@@ -26,6 +26,10 @@ from .operators import DOperator, dh, dh_reversed, dx, dy, lambda_of, op_compose
 from .polydiff import PDOp, p_compose
 from .polyring import Poly, PolyRing
 
+#: deepest nesting of parentheses and unary minuses; the parser recurses
+#: about four frames per level and must stay inside Python's stack limit
+MAX_NESTING = 200
+
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^()\[\]])")
 
 
@@ -105,6 +109,7 @@ class _Parser:
     def __init__(self, text: str):
         self.tokens = tokenize(text)
         self.pos = 0
+        self.depth = 0
 
     def peek(self) -> Token:
         return self.tokens[self.pos]
@@ -179,14 +184,18 @@ class _Parser:
         if tok.kind == "int":
             self.advance()
             return Num(int(tok.text), tok.line, tok.column)
-        if tok.kind == "op" and tok.text == "(":
+        if tok.kind == "op" and tok.text in "(-":
+            self.depth += 1
+            if self.depth > MAX_NESTING:
+                raise ParseError(f"nested deeper than {MAX_NESTING} levels", tok.line, tok.column)
             self.advance()
-            node = self.parse_expr()
-            self.expect(")")
+            if tok.text == "(":
+                node = self.parse_expr()
+                self.expect(")")
+            else:
+                node = Neg(self.parse_atom())
+            self.depth -= 1
             return node
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.parse_atom())
         if tok.kind == "name":
             self.advance()
             if tok.text == "d" and self._at("["):

@@ -46,6 +46,21 @@ class PolyRing:
         exp[i] = 1
         return Poly(self, {tuple(exp): self.field.one})
 
+    def coerce(self, value) -> "Poly":
+        """value itself if it is a polynomial, else the constant it names."""
+        return value if isinstance(value, Poly) else self.constant(value)
+
+    def mul(self, a: "Poly", b: "Poly") -> "Poly":
+        return a * b
+
+    def acc(self, out: dict, key, c: "Poly"):
+        """Add c into out[key]; the key is dropped when the sum is zero."""
+        v = out[key] + c if key in out else c
+        if v:
+            out[key] = v
+        else:
+            out.pop(key, None)
+
     def monomial(self, exponents, coeff=1) -> "Poly":
         exponents = tuple(int(e) for e in exponents)
         if len(exponents) != self.nvars or any(e < 0 for e in exponents):

@@ -1,10 +1,12 @@
 """Regenerate the committed JSON fixtures used by the CLI tests.
 
-Run from the repository root:  python tests/fixtures/generate.py
+Run from the repository root:  python tests/fixtures/generate.py [OUT_DIR]
+(OUT_DIR defaults to this directory.)
 """
 
 import json
 import os
+import sys
 
 from diffops.azumaya import (
     algebra_to_record,
@@ -28,13 +30,12 @@ from diffops.polyring import PolyRing
 HERE = os.path.dirname(os.path.abspath(__file__))
 
 
-def dump(name, record):
-    with open(os.path.join(HERE, name), "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def main(out=HERE):
+    def dump(name, record):
+        with open(os.path.join(out, name), "w", encoding="utf-8") as fh:
+            json.dump(record, fh, sort_keys=True, indent=1)
+            fh.write("\n")
 
-
-def main():
     rt3 = PolyRing(("t",), FieldSpec(3))
     m2 = build_matrix_algebra(2, rt3)
     dump("m2_f3t.json", algebra_to_record(m2))
@@ -63,4 +64,4 @@ def main():
 
 
 if __name__ == "__main__":
-    main()
+    main(*sys.argv[1:])

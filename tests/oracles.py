@@ -6,7 +6,9 @@ closed-form product kernel.  The bracket oracle measures filtration
 membership by brute-force commutator chains.  The finite-dimensional
 filtration oracle follows the definition literally, with dense d x d
 matrix products and Gauss-Jordan elimination over all rows, and imports
-nothing from ``diffops.findim``.
+nothing from ``diffops.findim``.  The structure-constant check, the
+reference for the library's sparse validator, sums all d^5 products of
+its definition and shares no code with it.
 """
 
 from __future__ import annotations
@@ -241,6 +243,35 @@ def literal_filtration(constants, p, multipliers, i_max=None):
         if len(current[0]) == n:
             return levels, i
     return levels, None
+
+
+def dense_validation(table, unit, zero, one, p=0):
+    """The structure-constant check by its definition: the unit law, then
+    (e_i e_j) e_l = e_i (e_j e_l) coordinate by coordinate, summing over all
+    d^5 products.  Works on scalar (compared mod p when p) or Poly tables.
+    Returns the failure message, or None for a valid table.
+    """
+    d = len(table)
+
+    def differ(a, b):
+        return (a - b) % p != 0 if p else a != b
+
+    for j in range(d):
+        for k in range(d):
+            want = one if j == k else zero
+            if differ(table[unit][j][k], want) or differ(table[j][unit][k], want):
+                return "marked unit element is not a unit"
+    for i in range(d):
+        for j in range(d):
+            for l in range(d):
+                for m in range(d):
+                    lhs = rhs = zero
+                    for k in range(d):
+                        lhs = lhs + table[i][j][k] * table[k][l][m]
+                        rhs = rhs + table[j][l][k] * table[i][k][m]
+                    if differ(lhs, rhs):
+                        return "structure constants not associative"
+    return None
 
 
 def matrix_truncated_algebra(n, k, p, rng):

@@ -430,7 +430,7 @@ def test_criterion_10_filtration_containments():
     # relative filtration dominates the absolute one on M_2(F_5)
     alg = matrix_algebra(2, FieldSpec(5))
     absolute = z_filtration(alg)
-    relative = relative_z_filtration(alg, [alg.unit_coords()])
+    relative = relative_z_filtration(alg, [alg.unit_element()])
     contain_ok = all(
         relative.subspace_at(m).contains_subspace(absolute.subspace_at(m))
         for m in range(3)

@@ -1,6 +1,7 @@
 """CLI: golden-file byte equality, determinism, exit codes, file round trips."""
 
 import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -105,6 +106,11 @@ def test_eta_zeta_roundtrip_via_files(tmp_path):
     assert out == "t^2*d[t]\n"
 
 
+def _write(path, rec):
+    path.write_text(json.dumps(rec), encoding="utf-8")
+    return str(path)
+
+
 def _zfilt_record(tmp_path, **changes):
     rec = {
         "dim": 2,
@@ -113,9 +119,14 @@ def _zfilt_record(tmp_path, **changes):
         "table": [[["1", "0"], ["0", "1"]], [["0", "1"], ["0", "0"]]],
     }
     rec.update(changes)
-    path = tmp_path / "fin.json"
-    path.write_text(json.dumps(rec), encoding="utf-8")
-    return str(path)
+    return _write(tmp_path / "fin.json", rec)
+
+
+def _dual_f3t_record(tmp_path, **changes):
+    with open(os.path.join(FIXTURES, "dual_f3t.json"), encoding="utf-8") as fh:
+        rec = json.load(fh)
+    rec.update(changes)
+    return _write(tmp_path / "alg.json", rec)
 
 
 def test_zfilt_unit_out_of_range_is_exit_one(tmp_path):
@@ -130,3 +141,44 @@ def test_zfilt_non_scalar_table_entry_is_exit_one(tmp_path):
     rc, out, err = run_cli(["zfilt", _zfilt_record(tmp_path, table=table)])
     assert (rc, out) == (1, "")
     assert err.startswith("error: bad algebra record") and err.count("\n") == 1
+
+
+MALFORMED = {
+    "zfilt_labels_not_a_list": lambda tmp: ["zfilt", _zfilt_record(tmp, labels=5)],
+    "azumaya_labels_not_a_list": lambda tmp: ["azumaya-check", _dual_f3t_record(tmp, labels=5)],
+    "azumaya_entry_not_a_string": lambda tmp: [
+        "azumaya-check",
+        _dual_f3t_record(tmp, table=[[["1", "0"], ["0", "1"]], [["0", "1"], [3, "0"]]]),
+    ],
+    "zfilt_central_entry_not_a_scalar": lambda tmp: [
+        "zfilt", _zfilt_record(tmp), "--central", _write(tmp / "c.json", {"basis": [["1", "x"]]})
+    ],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_record_is_one_error_line(tmp_path, case):
+    rc, out, err = run_cli(MALFORMED[case](tmp_path))
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_deep_nesting_is_exit_one():
+    for expr in ["(" * 300 + "x1" + ")" * 300, "-" * 3000 + "x1"]:
+        rc, out, err = run_cli(["normalize", "--", expr])
+        assert (rc, out) == (1, "")
+        assert err.startswith("error: nested deeper than") and err.count("\n") == 1
+    assert run_cli(["normalize", "(" * 100 + "y1*x1" + ")" * 100])[:2] == (0, "x1*y1 - h\n")
+    assert run_cli(["normalize", "--", "-(" * 100 + "x1" + ")" * 100])[:2] == (0, "x1\n")
+
+
+def test_fixtures_regenerate_byte_identical(tmp_path):
+    spec = importlib.util.spec_from_file_location("generate", os.path.join(FIXTURES, "generate.py"))
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    generate.main(str(tmp_path))
+    committed = sorted(n for n in os.listdir(FIXTURES) if n.endswith(".json"))
+    assert sorted(os.listdir(tmp_path)) == committed
+    for name in committed:
+        with open(os.path.join(FIXTURES, name), "rb") as fh:
+            assert (tmp_path / name).read_bytes() == fh.read(), name

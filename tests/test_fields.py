@@ -69,6 +69,7 @@ def test_combination_core(read, parent, other, text, reordered):
     a = read(parent, text)
     assert (a - a).terms == {}
     assert (a - a).is_zero() and not a.is_zero()
+    assert not (a - a) and a
     for b in (read(parent, reordered), type(a)(parent, dict(reversed(a.terms.items())))):
         assert list(b.terms) != list(a.terms)
         assert b == a and hash(b) == hash(a)

@@ -1,12 +1,14 @@
 """The finite-dimensional filtration oracle: centres, spans, filtrations."""
 
+import itertools
 import random
 import time
 
 import pytest
 
+from diffops.azumaya import build_dual_numbers, build_heisenberg_charp, build_matrix_algebra
 from diffops.errors import ValidationError
-from diffops.fields import FieldSpec
+from diffops.fields import FieldSpec, StructureAlgebra
 from diffops.findim import (
     FinAlgebra,
     LinearSubspace,
@@ -22,8 +24,15 @@ from diffops.findim import (
     tensor_algebra,
     z_filtration,
 )
+from diffops.polyring import PolyRing
 
-from oracles import gauss_jordan, literal_filtration, matrix_truncated_algebra, random_scalar
+from oracles import (
+    dense_validation,
+    gauss_jordan,
+    literal_filtration,
+    matrix_truncated_algebra,
+    random_scalar,
+)
 
 F7 = FieldSpec(7)
 F5 = FieldSpec(5)
@@ -39,7 +48,7 @@ def right_mult_matrix(alg, coords):
             continue
         for i in range(d):
             for k in range(d):
-                v = alg.constants[i][j][k]
+                v = alg.table[i][j][k]
                 if v != 0:
                     out[k][i] = f.add(out[k][i], f.mul(c, v))
     return out
@@ -59,7 +68,7 @@ def test_dual_numbers_center():
     assert centre.dim == 2
     # the centre consists exactly of the right multiplications
     for i in range(alg.dim):
-        mat = right_mult_matrix(alg, alg.basis_coords(i))
+        mat = right_mult_matrix(alg, alg.basis_element(i))
         flat = tuple(c for row in mat for c in row)
         assert centre.contains(flat)
 
@@ -70,7 +79,7 @@ def test_matrix_algebra_center_dim():
     centre = bimodule_center(alg)
     assert centre.dim == 4
     for i in range(alg.dim):
-        mat = right_mult_matrix(alg, alg.basis_coords(i))
+        mat = right_mult_matrix(alg, alg.basis_element(i))
         assert centre.contains(tuple(c for row in mat for c in row))
 
 
@@ -88,7 +97,7 @@ def test_bimodule_span_in_matrix_algebra():
     span = bimodule_span(alg, LinearSubspace(d * d, f, [ident]))
     assert span.dim == 4
     for i in range(d):
-        flat = tuple(c for row in alg.left_mult(alg.basis_coords(i)) for c in row)
+        flat = tuple(c for row in alg.mult_matrix(alg.basis_element(i)) for c in row)
         assert span.contains(flat)
     assert bimodule_span(alg, bimodule_center(alg)).dim == 16
 
@@ -163,9 +172,9 @@ def test_level_zero_is_two_sided_multiplication_span():
         d = alg.dim
         vecs = []
         for i in range(d):
-            La = alg.left_mult(alg.basis_coords(i))
+            La = alg.mult_matrix(alg.basis_element(i))
             for j in range(d):
-                Rb = right_mult_matrix(alg, alg.basis_coords(j))
+                Rb = right_mult_matrix(alg, alg.basis_element(j))
                 flat = []
                 for r in range(d):
                     for c in range(d):
@@ -181,16 +190,16 @@ def test_level_zero_is_two_sided_multiplication_span():
 
 def test_relative_with_scalars_is_full():
     alg = matrix_algebra(2, F5)
-    rep = relative_z_filtration(alg, [alg.unit_coords()])
+    rep = relative_z_filtration(alg, [alg.unit_element()])
     assert rep.dims == [16]
     assert rep.stabilized_at == 0
 
 
 def test_relative_validation():
     alg = matrix_algebra(2, F5)
-    e12 = alg.basis_coords(alg.labels.index("e12"))
+    e12 = alg.basis_element(alg.labels.index("e12"))
     with pytest.raises(ValidationError):
-        relative_z_filtration(alg, [alg.unit_coords(), e12])
+        relative_z_filtration(alg, [alg.unit_element(), e12])
     with pytest.raises(ValidationError):
         relative_z_filtration(alg, [e12])
     with pytest.raises(ValidationError):
@@ -200,7 +209,7 @@ def test_relative_validation():
 def test_relative_dominates_absolute_matrix_case():
     alg = matrix_algebra(2, F5)
     absolute = z_filtration(alg)
-    relative = relative_z_filtration(alg, [alg.unit_coords()])
+    relative = relative_z_filtration(alg, [alg.unit_element()])
     for m in range(3):
         assert relative.subspace_at(m).contains_subspace(absolute.subspace_at(m))
 
@@ -226,10 +235,10 @@ def test_relative_dominates_absolute_tensor_case():
     # central subalgebra 1 (x) R inside M_2 (x) R
     f = F5
     d = big.dim
-    unit = big.unit_coords()
+    unit = big.unit_element()
     eps_idx = [i for i, lab in enumerate(big.labels) if lab == "1.eps"]
     assert len(eps_idx) == 1
-    eps = big.basis_coords(eps_idx[0])
+    eps = big.basis_element(eps_idx[0])
     absolute = z_filtration(big)
     relative = relative_z_filtration(big, [unit, eps])
     for m in range(3):
@@ -251,7 +260,7 @@ def test_record_roundtrip():
     alg = dual_numbers_algebra(F7)
     rec = finalgebra_to_record(alg)
     back = finalgebra_from_record(rec)
-    assert back.constants == alg.constants
+    assert back.table == alg.table
     assert back.unit == alg.unit
     rec["variables"] = ["t"]
     with pytest.raises(ValidationError):
@@ -320,27 +329,48 @@ def test_insertion_matches_gauss_jordan(p):
         assert len(gauss_jordan(kernel, n, p)[0]) == len(kernel)
 
 
+def _verdict(domain, table, unit):
+    try:
+        StructureAlgebra(domain, table, unit)
+    except ValidationError as exc:
+        return str(exc)
+    return None
+
+
 def test_validation_rejects_mutated_constants():
+    # on scalar and Poly tables, the sparse validator gives the verdict and
+    # message of the dense definition for every constant bumped by one (and
+    # by a ring variable), for a wrong unit and for a unit out of range
+    rt3 = PolyRing(("t",), FieldSpec(3))
     constants, unit, _ = matrix_truncated_algebra(2, 2, 5, random.Random(11))
-    d = len(constants)
-    FinAlgebra(F5, constants, unit)
-    changed = 0
-    for i in range(d):
-        for j in range(d):
-            for k in range(d):
-                c = constants[i][j][k]
-                if c == 0 or unit in (i, j):
-                    continue
-                bad = [[list(cell) for cell in row] for row in constants]
-                bad[i][j][k] = (c + 1) % 5
-                with pytest.raises(ValidationError, match="structure constants not associative"):
-                    FinAlgebra(F5, bad, unit)
-                changed += 1
-    assert changed > 10
-    with pytest.raises(ValidationError, match="marked unit element is not a unit"):
-        FinAlgebra(F5, constants, (unit + 1) % d)
-    with pytest.raises(ValidationError, match="out of range"):
-        FinAlgebra(F5, constants, d)
+    inputs = [(F5, constants, unit, [1])]
+    for alg in (build_matrix_algebra(2, rt3), build_heisenberg_charp(1, 2), build_dual_numbers(rt3)):
+        inputs.append((alg.ring, alg.table, alg.unit, [alg.ring.one(), alg.ring.gen(0)]))
+    for domain, table, unit, bumps in inputs:
+        zero, one = domain.coerce(0), domain.coerce(1)
+        p = getattr(domain, "characteristic", 0)
+        d = len(table)
+        assert _verdict(domain, table, unit) is None is dense_validation(table, unit, zero, one, p)
+        off_unit = 0
+        for i, j, k in itertools.product(range(d), repeat=3):
+            c = table[i][j][k]
+            if c == zero:
+                continue
+            for bump in bumps:
+                bad = [[list(cell) for cell in row] for row in table]
+                bad[i][j][k] = domain.coerce(c + bump)
+                want = dense_validation(bad, unit, zero, one, p)
+                assert _verdict(domain, bad, unit) == want
+                if unit in (i, j):
+                    assert want == "marked unit element is not a unit"
+                else:
+                    assert want == "structure constants not associative"
+                    off_unit += 1
+        assert off_unit >= (10 if d > 2 else 0)
+        wrong = (unit + 1) % d
+        assert _verdict(domain, table, wrong) == dense_validation(table, wrong, zero, one, p)
+        assert _verdict(domain, table, wrong) == "marked unit element is not a unit"
+        assert "out of range" in _verdict(domain, table, d)
 
 
 def test_z_filtration_at_dimension_16_within_budget():
