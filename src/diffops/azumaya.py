@@ -18,10 +18,12 @@ two-sided multiplication map A (x)_R A^o -> Hom_R(A, A).
 
 from __future__ import annotations
 
+import operator
 from itertools import product
 
 from .errors import MathError, ValidationError
-from .fields import DUAL_NUMBERS, FieldSpec, StructureAlgebra, matrix_units, read_record
+from .fields import DUAL_NUMBERS, FieldSpec, StructureAlgebra, expect, matrix_units
+from .fields import read_record
 from .heisenberg import (
     AlgebraContext,
     HElement,
@@ -151,15 +153,16 @@ class OperatorMatrix:
         return len(self.entries)
 
     @classmethod
-    def zero(cls, ring, n) -> "OperatorMatrix":
-        return cls(ring, [[PDOp.zero(ring) for _ in range(n)] for _ in range(n)])
+    def zero(cls, ring, n, at=None) -> "OperatorMatrix":
+        """The n x n zero matrix, except for the entries at = {(i, j): op}."""
+        at = at or {}
+        zero = PDOp.zero(ring)
+        return cls(ring, [[at.get((i, j), zero) for j in range(n)] for i in range(n)])
 
     @classmethod
     def identity(cls, ring, n) -> "OperatorMatrix":
-        out = cls.zero(ring, n)
-        for i in range(n):
-            out.entries[i][i] = PDOp.identity(ring)
-        return out
+        one = PDOp.identity(ring)
+        return cls.zero(ring, n, at={(i, i): one for i in range(n)})
 
     def _check(self, other):
         if self.ring != other.ring or self.size != other.size:
@@ -180,33 +183,27 @@ class OperatorMatrix:
     def is_zero(self) -> bool:
         return all(e.is_zero() for row in self.entries for e in row)
 
-    def __add__(self, other):
+    def _entrywise(self, op, other=None) -> "OperatorMatrix":
+        """op of each entry, or of each pair of entries of self and other."""
+        if other is None:
+            return OperatorMatrix(self.ring, [[op(e) for e in row] for row in self.entries])
         self._check(other)
         return OperatorMatrix(
             self.ring,
-            [
-                [a + b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
+            [[op(a, b) for a, b in zip(r1, r2)] for r1, r2 in zip(self.entries, other.entries)],
         )
+
+    def __add__(self, other):
+        return self._entrywise(operator.add, other)
 
     def __sub__(self, other):
-        self._check(other)
-        return OperatorMatrix(
-            self.ring,
-            [
-                [a - b for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self.entries, other.entries)
-            ],
-        )
+        return self._entrywise(operator.sub, other)
 
     def __neg__(self):
-        return OperatorMatrix(self.ring, [[-e for e in row] for row in self.entries])
+        return self._entrywise(operator.neg)
 
     def scale(self, c) -> "OperatorMatrix":
-        return OperatorMatrix(
-            self.ring, [[e.scale(c) for e in row] for row in self.entries]
-        )
+        return self._entrywise(lambda e: e.scale(c))
 
     def compose(self, other: "OperatorMatrix") -> "OperatorMatrix":
         """(self o other) as operators; matrix product with entry composition."""
@@ -260,28 +257,21 @@ def diagonal_extend(alg: CenteredFreeAlgebra, phi: PDOp) -> OperatorMatrix:
     """Extend a base-ring operator coordinatewise: (r a_i) -> phi(r) a_i."""
     if phi.ring != alg.ring:
         raise ValidationError("operator ring does not match the algebra base ring")
-    out = OperatorMatrix.zero(alg.ring, alg.dim)
-    for i in range(alg.dim):
-        out.entries[i][i] = phi
-    return out
+    return OperatorMatrix.zero(alg.ring, alg.dim, at={(i, i): phi for i in range(alg.dim)})
 
 
 def matrix_unit_op(alg: CenteredFreeAlgebra, l: int, k: int) -> OperatorMatrix:
     """The order-0 operator sending a_k to a_l and the other basis coordinates to 0."""
     if not (0 <= l < alg.dim and 0 <= k < alg.dim):
         raise ValidationError("basis operator index out of range")
-    out = OperatorMatrix.zero(alg.ring, alg.dim)
-    out.entries[l][k] = PDOp.identity(alg.ring)
-    return out
+    return OperatorMatrix.zero(alg.ring, alg.dim, at={(l, k): PDOp.identity(alg.ring)})
 
 
 def coordinate_projection(alg: CenteredFreeAlgebra, j: int) -> OperatorMatrix:
     """f_j followed by the inclusion of R = R.a_0 into the algebra."""
     if not 0 <= j < alg.dim:
         raise ValidationError("projection index out of range")
-    out = OperatorMatrix.zero(alg.ring, alg.dim)
-    out.entries[0][j] = PDOp.identity(alg.ring)
-    return out
+    return OperatorMatrix.zero(alg.ring, alg.dim, at={(0, j): PDOp.identity(alg.ring)})
 
 
 def component(alg: CenteredFreeAlgebra, phi: OperatorMatrix, i: int, j: int) -> PDOp:
@@ -483,24 +473,25 @@ def matrix_to_record(phi: OperatorMatrix) -> dict:
 
 
 def matrix_from_record(rec: dict) -> OperatorMatrix:
+    """The operator matrix of a record, or ValidationError."""
     try:
         size = int(rec["size"])
         char = int(rec["characteristic"])
         variables = tuple(str(v) for v in rec["variables"])
-        entries_rec = rec["entries"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rows = expect(rec["entries"], list)
+        ring = PolyRing(variables, FieldSpec(char))
+        if len(rows) != size:
+            raise ValidationError("operator-matrix record size mismatch")
+        entries = []
+        for row in rows:
+            out_row = []
+            for cell in expect(row, list):
+                terms = {}
+                for t in expect(cell, list):
+                    key = (tuple(int(e) for e in t["beta"]), tuple(int(e) for e in t["alpha"]))
+                    terms[key] = ring.field.coerce(str(t["coeff"]))
+                out_row.append(PDOp(ring, terms))
+            entries.append(out_row)
+    except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
         raise ValidationError(f"bad operator-matrix record: {exc}") from None
-    ring = PolyRing(variables, FieldSpec(char))
-    if len(entries_rec) != size:
-        raise ValidationError("operator-matrix record size mismatch")
-    entries = []
-    for row in entries_rec:
-        out_row = []
-        for cell in row:
-            terms = {}
-            for t in cell:
-                key = (tuple(int(e) for e in t["beta"]), tuple(int(e) for e in t["alpha"]))
-                terms[key] = ring.field.coerce(str(t["coeff"]))
-            out_row.append(PDOp(ring, terms))
-        entries.append(out_row)
     return OperatorMatrix(ring, entries)

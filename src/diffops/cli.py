@@ -14,8 +14,9 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 
-from .errors import MathError, ParseError, ValidationError
+from .errors import DiffopsError, MathError, ValidationError
 from .fields import FieldSpec
 from .heisenberg import AlgebraContext, HElement, MODE_HEISENBERG, MODE_WEYL
 from .operators import DOperator, mdeg, op_apply, op_compose, reduce_to_scalar
@@ -43,20 +44,12 @@ from .printing import (
 class _Parser(argparse.ArgumentParser):
     def error(self, message):  # usage problems are exit code 1
         self.print_usage(sys.stderr)
-        raise SystemExit(self._fail(message))
-
-    @staticmethod
-    def _fail(message):
         print(f"error: {message}", file=sys.stderr)
-        return 1
+        raise SystemExit(1)
 
 
 def _dumps(obj) -> str:
     return json.dumps(obj, sort_keys=True)
-
-
-def _context(args) -> AlgebraContext:
-    return AlgebraContext(args.n, FieldSpec(args.char), args.mode)
 
 
 def _default_char() -> int:
@@ -65,32 +58,6 @@ def _default_char() -> int:
         return int(raw)
     except ValueError:
         raise ValidationError(f"bad DIFFOPS_CHAR value {raw!r}") from None
-
-
-def _add_context_flags(sub, mode_default=MODE_HEISENBERG):
-    sub.add_argument("--n", type=int, default=1, help="algebra rank (default 1)")
-    sub.add_argument(
-        "--char",
-        type=int,
-        default=None,
-        help="field characteristic (default: DIFFOPS_CHAR or 0)",
-    )
-    sub.add_argument(
-        "--mode",
-        choices=[MODE_HEISENBERG, MODE_WEYL],
-        default=mode_default,
-        help=f"algebra mode (default {mode_default})",
-    )
-    _add_format_flag(sub)
-
-
-def _add_format_flag(sub):
-    sub.add_argument(
-        "--format",
-        choices=["text", "structured"],
-        default="text",
-        help="output form (default text)",
-    )
 
 
 def _load_json(path: str) -> dict:
@@ -103,6 +70,21 @@ def _load_json(path: str) -> dict:
         raise ValidationError(f"bad JSON in {path}: {exc}") from None
 
 
+def _write_out(path, record):
+    if path:
+        with open(path, "w", encoding="utf-8") as fh:
+            json.dump(record, fh, sort_keys=True, indent=1)
+            fh.write("\n")
+
+
+# -- output -----------------------------------------------------------------------
+
+
+def _emit(fmt, record, text):
+    """Print one JSON record in the structured form, else the text."""
+    print(_dumps(record) if fmt == "structured" else text)
+
+
 #: text form and record form of each printable value type
 _FORMS = {
     HElement: (format_element, element_records),
@@ -111,7 +93,7 @@ _FORMS = {
 }
 
 
-def _print_value(v, fmt):
+def _print_value(fmt, v):
     text, records = _FORMS[type(v)]
     if fmt == "structured":
         for rec in records(v):
@@ -120,139 +102,77 @@ def _print_value(v, fmt):
         print(text(v))
 
 
-def _print_matrix(m, fmt, prefix=""):
-    if fmt == "structured":
-        for i, row in enumerate(m.entries):
-            for j, e in enumerate(row):
-                rec = {"row": i, "col": j, "terms": pdop_records(e)}
-                if prefix:
-                    rec["generator"] = prefix
-                print(_dumps(rec))
-    else:
-        lead = f"{prefix} " if prefix else ""
-        for i, row in enumerate(m.entries):
-            for j, e in enumerate(row):
-                print(f"{lead}entry {i} {j}: {format_pdop(e)}")
+def _print_degree(fmt, name, value):
+    text = "-inf" if value == float("-inf") else str(int(value))
+    _emit(fmt, {name: text}, text)
 
 
-def _write_out(path, record):
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(record, fh, sort_keys=True, indent=1)
-        fh.write("\n")
+def _print_matrix(fmt, m, prefix=""):
+    lead = f"{prefix} " if prefix else ""
+    for i, row in enumerate(m.entries):
+        for j, e in enumerate(row):
+            rec = {"row": i, "col": j, "terms": pdop_records(e)}
+            if prefix:
+                rec["generator"] = prefix
+            _emit(fmt, rec, f"{lead}entry {i} {j}: {format_pdop(e)}")
 
 
-def _degree_text(value) -> str:
-    return "-inf" if value == float("-inf") else str(int(value))
+# -- commands in an algebra context -----------------------------------------------
 
 
-# -- command handlers -------------------------------------------------------------
+def _run_in_context(inputs, show, args):
+    """Read each positional by its kind in AlgebraContext(--n, --char,
+    --mode), in the written order, and pass the values to show."""
+    ctx = AlgebraContext(args.n, FieldSpec(args.char), args.mode)
+    show(args.format, *[read(ctx, getattr(args, name)) for name, read in inputs])
 
 
-def _cmd_normalize(args):
-    ctx = _context(args)
-    _print_value(element_from_text(ctx, args.expr), args.format)
-    return 0
+def _show_reduce(fmt, d):
+    witness = reduce_to_scalar(d)
+    scalar = d.ctx.field.format(witness.scalar)
+    partners = list(witness.partners)
+    text = f"witness: [{', '.join(partners)}]\nscalar: {scalar}"
+    _emit(fmt, {"witness": partners, "scalar": scalar}, text)
 
 
-def _cmd_comm(args):
-    ctx = _context(args)
-    a = element_from_text(ctx, args.left)
-    b = element_from_text(ctx, args.right)
-    _print_value(a * b - b * a, args.format)
-    return 0
+def _show_pairs(fmt, d):
+    for a, b in inner_decompose(d):
+        record = {"left": element_records(a), "right": element_records(b)}
+        _emit(fmt, record, f"({format_element(a)}, {format_element(b)})")
 
 
-def _cmd_apply(args):
-    ctx = _context(args)
-    d = operator_from_text(ctx, args.operator)
-    a = element_from_text(ctx, args.element)
-    _print_value(op_apply(d, a), args.format)
-    return 0
-
-
-def _cmd_compose(args):
-    ctx = _context(args)
-    d1 = operator_from_text(ctx, args.left)
-    d2 = operator_from_text(ctx, args.right)
-    _print_value(op_compose(d1, d2), args.format)
-    return 0
-
-
-def _cmd_mdeg(args):
-    ctx = _context(args)
-    d = operator_from_text(ctx, args.operator)
-    value = _degree_text(mdeg(d))
-    print(_dumps({"mdeg": value}) if args.format == "structured" else value)
-    return 0
+# -- commands on polynomial operators and algebra files ---------------------------
 
 
 def _cmd_order(args):
-    char = args.char if args.char is not None else _default_char()
     if args.vars:
         names = tuple(v.strip() for v in args.vars.split(",") if v.strip())
     else:
         names = infer_ring_variables(args.operator)
-    ring = PolyRing(names, FieldSpec(char))
-    d = pdop_from_text(ring, args.operator)
-    value = _degree_text(p_order(d))
-    print(_dumps({"order": value}) if args.format == "structured" else value)
-    return 0
-
-
-def _cmd_reduce(args):
-    ctx = _context(args)
-    d = operator_from_text(ctx, args.operator)
-    witness = reduce_to_scalar(d)
-    scalar = ctx.field.format(witness.scalar)
-    if args.format == "structured":
-        print(_dumps({"witness": list(witness.partners), "scalar": scalar}))
-    else:
-        print(f"witness: [{', '.join(witness.partners)}]")
-        print(f"scalar: {scalar}")
-    return 0
-
-
-def _cmd_weyl_decompose(args):
-    ctx = _context(args)
-    d = operator_from_text(ctx, args.operator)
-    pairs = inner_decompose(d)
-    if args.format == "structured":
-        for a, b in pairs:
-            print(
-                _dumps({"left": element_records(a), "right": element_records(b)})
-            )
-    else:
-        for a, b in pairs:
-            print(f"({format_element(a)}, {format_element(b)})")
-    return 0
+    d = pdop_from_text(PolyRing(names, FieldSpec(args.char)), args.operator)
+    _print_degree(args.format, "order", p_order(d))
 
 
 def _cmd_decompose(args):
     alg = az.algebra_from_record(_load_json(args.algebra))
     phi = az.matrix_from_record(_load_json(args.matrix))
-    comps = az.decompose_operator(alg, phi)
-    result = az.OperatorMatrix(alg.ring, comps)
-    _print_matrix(result, args.format)
-    if args.out:
-        _write_out(args.out, az.matrix_to_record(result))
-    return 0
+    result = az.OperatorMatrix(alg.ring, az.decompose_operator(alg, phi))
+    _print_matrix(args.format, result)
+    _write_out(args.out, az.matrix_to_record(result))
 
 
 def _cmd_reconstruct(args):
     alg = az.algebra_from_record(_load_json(args.algebra))
     comps = az.matrix_from_record(_load_json(args.components))
     result = az.reconstruct_operator(alg, comps.entries)
-    _print_matrix(result, args.format)
-    if args.out:
-        _write_out(args.out, az.matrix_to_record(result))
-    return 0
+    _print_matrix(args.format, result)
+    _write_out(args.out, az.matrix_to_record(result))
 
 
 def _cmd_zeta(args):
     alg = az.algebra_from_record(_load_json(args.algebra))
     phi = az.matrix_from_record(_load_json(args.matrix))
-    _print_value(az.restrict_to_base(alg, phi), args.format)
-    return 0
+    _print_value(args.format, az.restrict_to_base(alg, phi))
 
 
 def _cmd_eta(args):
@@ -260,21 +180,14 @@ def _cmd_eta(args):
     gens = [pdop_from_text(alg.ring, text) for text in args.generators]
     lifted = az.lift_from_base(alg, gens)
     for k, mat in enumerate(lifted):
-        prefix = f"generator {k}" if len(lifted) > 1 else ""
-        _print_matrix(mat, args.format, prefix=prefix)
-    if args.out:
-        _write_out(args.out, [az.matrix_to_record(m) for m in lifted])
-    return 0
+        _print_matrix(args.format, mat, f"generator {k}" if len(lifted) > 1 else "")
+    _write_out(args.out, [az.matrix_to_record(m) for m in lifted])
 
 
 def _cmd_azumaya_check(args):
     alg = az.algebra_from_record(_load_json(args.algebra))
     ok = az.is_azumaya(alg, max_dim=args.max_dim)
-    if args.format == "structured":
-        print(_dumps({"azumaya": ok}))
-    else:
-        print(f"azumaya: {'true' if ok else 'false'}")
-    return 0
+    _emit(args.format, {"azumaya": ok}, f"azumaya: {_dumps(ok)}")
 
 
 def _cmd_zfilt(args):
@@ -288,113 +201,103 @@ def _cmd_zfilt(args):
         report = findim.relative_z_filtration(alg, basis, args.i_max)
     else:
         report = findim.z_filtration(alg, args.i_max)
-    if args.format == "structured":
-        for i, sub in report.levels:
-            print(_dumps({"level": i, "dim": sub.dim}))
-        print(_dumps({"stabilized_at": report.stabilized_at}))
-    else:
-        for i, sub in report.levels:
-            print(f"level {i}: dim {sub.dim}")
-        if report.stabilized_at is None:
-            print("not stabilized within cap")
-        else:
-            print(f"stabilized at {report.stabilized_at}")
-    return 0
+    for i, sub in report.levels:
+        _emit(args.format, {"level": i, "dim": sub.dim}, f"level {i}: dim {sub.dim}")
+    at = report.stabilized_at
+    text = "not stabilized within cap" if at is None else f"stabilized at {at}"
+    _emit(args.format, {"stabilized_at": at}, text)
+
+
+# -- the command table ------------------------------------------------------------
+
+
+def _context_flags(mode_default):
+    return [
+        ("--n", dict(type=int, default=1, help="algebra rank (default 1)")),
+        ("--char", dict(type=int, default=None,
+                        help="field characteristic (default: DIFFOPS_CHAR or 0)")),
+        ("--mode", dict(choices=[MODE_HEISENBERG, MODE_WEYL], default=mode_default,
+                        help=f"algebra mode (default {mode_default})")),
+    ]
+
+
+_CONTEXT = _context_flags(MODE_HEISENBERG)
+_FORMAT = ("--format", dict(choices=["text", "structured"], default="text",
+                            help="output form (default text)"))
+_EL, _OP = element_from_text, operator_from_text  # kinds of context positionals
+
+
+def _arg(name, help_text=None, nargs=None):
+    """A positional without a kind: its handler reads it."""
+    return (name, None, dict(help=help_text, nargs=nargs))
+
+
+def _out(help_text):
+    return ("--out", dict(help=help_text))
+
+
+#: name, help, positionals as (name, kind, add_argument keywords), flags other
+#: than --format, and the handler: show(format, *values) when the positionals
+#: have kinds, else handler(args)
+_COMMANDS = [
+    ("normalize", "PBW normal form of an element expression",
+     [("expr", _EL, {})], _CONTEXT, _print_value),
+    ("comm", "commutator [a, b] of two elements",
+     [("left", _EL, {}), ("right", _EL, {})], _CONTEXT,
+     lambda fmt, a, b: _print_value(fmt, a * b - b * a)),
+    ("apply", "apply an operator to an element",
+     [("operator", _OP, {}), ("element", _EL, {})], _CONTEXT,
+     lambda fmt, d, a: _print_value(fmt, op_apply(d, a))),
+    ("compose", "normal-ordered composition of two operators",
+     [("left", _OP, {}), ("right", _OP, {})], _CONTEXT,
+     lambda fmt, d1, d2: _print_value(fmt, op_compose(d1, d2))),
+    ("mdeg", "filtration degree of an operator",
+     [("operator", _OP, {})], _CONTEXT,
+     lambda fmt, d: _print_degree(fmt, "mdeg", mdeg(d))),
+    ("order", "order of a polynomial differential operator",
+     [_arg("operator")],
+     [("--vars", dict(help="comma-separated ring variables (default: inferred)")),
+      ("--char", dict(type=int, default=None))],
+     _cmd_order),
+    ("reduce", "collapse a nonzero operator to a scalar by brackets",
+     [("operator", _OP, {})], _CONTEXT, _show_reduce),
+    ("weyl-decompose", "write a Weyl-mode operator as sums lambda_a rho_b",
+     [("operator", _OP, {})], _context_flags(MODE_WEYL), _show_pairs),
+    ("decompose", "components f_i Phi rho_j of an operator matrix",
+     [_arg("algebra", "structure-constant JSON file"),
+      _arg("matrix", "operator-matrix JSON file")],
+     [_out("write the component matrix as JSON")], _cmd_decompose),
+    ("reconstruct", "assemble an operator matrix from components",
+     [_arg("algebra"), _arg("components", "component-matrix JSON file")],
+     [_out("write the assembled matrix as JSON")], _cmd_reconstruct),
+    ("zeta", "restrict an operator matrix to the base ring",
+     [_arg("algebra"), _arg("matrix")], [], _cmd_zeta),
+    ("eta", "lift base-ring operators to the algebra",
+     [_arg("algebra"), _arg("generators", "base-ring operator expressions", "+")],
+     [_out("write the lifted matrices as JSON")], _cmd_eta),
+    ("azumaya-check", "two-sided multiplication isomorphism test",
+     [_arg("algebra")],
+     [("--max-dim", dict(type=int, default=8, help="size guard (default 8)"))],
+     _cmd_azumaya_check),
+    ("zfilt", "differential filtration of a finite-dimensional algebra",
+     [_arg("algebra")],
+     [("--i-max", dict(type=int, default=None, help="level cap (default dim^2)")),
+      ("--central", dict(help="JSON file with a central subalgebra basis"))],
+     _cmd_zfilt),
+]
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="diffops", description=__doc__)
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("normalize", help="PBW normal form of an element expression")
-    p.add_argument("expr")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_normalize)
-
-    p = subs.add_parser("comm", help="commutator [a, b] of two elements")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_comm)
-
-    p = subs.add_parser("apply", help="apply an operator to an element")
-    p.add_argument("operator")
-    p.add_argument("element")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_apply)
-
-    p = subs.add_parser("compose", help="normal-ordered composition of two operators")
-    p.add_argument("left")
-    p.add_argument("right")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_compose)
-
-    p = subs.add_parser("mdeg", help="filtration degree of an operator")
-    p.add_argument("operator")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_mdeg)
-
-    p = subs.add_parser("order", help="order of a polynomial differential operator")
-    p.add_argument("operator")
-    p.add_argument("--vars", help="comma-separated ring variables (default: inferred)")
-    p.add_argument("--char", type=int, default=None)
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_order)
-
-    p = subs.add_parser("reduce", help="collapse a nonzero operator to a scalar by brackets")
-    p.add_argument("operator")
-    _add_context_flags(p)
-    p.set_defaults(func=_cmd_reduce)
-
-    p = subs.add_parser(
-        "weyl-decompose", help="write a Weyl-mode operator as sums lambda_a rho_b"
-    )
-    p.add_argument("operator")
-    _add_context_flags(p, mode_default=MODE_WEYL)
-    p.set_defaults(func=_cmd_weyl_decompose)
-
-    p = subs.add_parser("decompose", help="components f_i Phi rho_j of an operator matrix")
-    p.add_argument("algebra", help="structure-constant JSON file")
-    p.add_argument("matrix", help="operator-matrix JSON file")
-    p.add_argument("--out", help="write the component matrix as JSON")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_decompose)
-
-    p = subs.add_parser("reconstruct", help="assemble an operator matrix from components")
-    p.add_argument("algebra")
-    p.add_argument("components", help="component-matrix JSON file")
-    p.add_argument("--out", help="write the assembled matrix as JSON")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_reconstruct)
-
-    p = subs.add_parser("zeta", help="restrict an operator matrix to the base ring")
-    p.add_argument("algebra")
-    p.add_argument("matrix")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_zeta)
-
-    p = subs.add_parser("eta", help="lift base-ring operators to the algebra")
-    p.add_argument("algebra")
-    p.add_argument("generators", nargs="+", help="base-ring operator expressions")
-    p.add_argument("--out", help="write the lifted matrices as JSON")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_eta)
-
-    p = subs.add_parser(
-        "azumaya-check", help="two-sided multiplication isomorphism test"
-    )
-    p.add_argument("algebra")
-    p.add_argument("--max-dim", type=int, default=8, help="size guard (default 8)")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_azumaya_check)
-
-    p = subs.add_parser("zfilt", help="differential filtration of a finite-dimensional algebra")
-    p.add_argument("algebra")
-    p.add_argument("--i-max", type=int, default=None, help="level cap (default dim^2)")
-    p.add_argument("--central", help="JSON file with a central subalgebra basis")
-    _add_format_flag(p)
-    p.set_defaults(func=_cmd_zfilt)
-
+    for name, help_text, positionals, flags, handler in _COMMANDS:
+        p = subs.add_parser(name, help=help_text)
+        for arg, _kind, options in positionals:
+            p.add_argument(arg, **options)
+        for flag, options in [*flags, _FORMAT]:
+            p.add_argument(flag, **options)
+        inputs = [(arg, kind) for arg, kind, _ in positionals if kind]
+        p.set_defaults(func=partial(_run_in_context, inputs, handler) if inputs else handler)
     return parser
 
 
@@ -407,16 +310,11 @@ def main(argv=None) -> int:
     try:
         if hasattr(args, "char") and args.char is None:
             args.char = _default_char()
-        return args.func(args)
-    except ParseError as exc:
+        args.func(args)
+    except DiffopsError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except ValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except MathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return 2 if isinstance(exc, MathError) else 1
+    return 0
 
 
 if __name__ == "__main__":

@@ -327,7 +327,7 @@ def matrix_units(n: int):
     return table, ["1"] + [f"e{i + 1}{j + 1}" for i, j in pairs]
 
 
-def _expect(value, kind):
+def expect(value, kind):
     if not isinstance(value, kind):
         raise TypeError(f"{value!r} is not a {kind.__name__}")
     return value
@@ -343,12 +343,12 @@ def read_record(rec: dict, domain_of):
         field = FieldSpec(int(rec["characteristic"]))
         variables = tuple(str(v) for v in rec.get("variables", ()))
         unit = int(rec.get("unit", 0))
-        table = _expect(rec["table"], list)
+        table = expect(rec["table"], list)
         if int(rec.get("dim", len(table))) != len(table):
             raise ValueError("table size does not match dim")
         domain, entry = domain_of(field, variables)
         table = [
-            [[entry(_expect(t, str)) for t in _expect(cell, list)] for cell in _expect(row, list)]
+            [[entry(expect(t, str)) for t in expect(cell, list)] for cell in expect(row, list)]
             for row in table
         ]
     except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:

@@ -125,10 +125,6 @@ class _Parser:
             return self.advance()
         raise ParseError(f"expected {text!r}", tok.line, tok.column)
 
-    def fail(self, message: str):
-        tok = self.peek()
-        raise ParseError(message, tok.line, tok.column)
-
     def parse(self):
         expr = self.parse_expr()
         tok = self.peek()
@@ -207,30 +203,22 @@ class _Parser:
                 self.expect("]")
                 order = 1
                 if self._at("^"):
-                    self.expect("^")
-                    self.expect("[")
-                    num = self.peek()
-                    if num.kind != "int":
-                        raise ParseError(
-                            "divided-power order must be an integer", num.line, num.column
-                        )
                     self.advance()
-                    self.expect("]")
-                    order = int(num.text)
+                    order = self._order()
                 return Partial(var.text, order, tok.line, tok.column)
-            order = None
-            if self._at("["):
-                self.expect("[")
-                num = self.peek()
-                if num.kind != "int":
-                    raise ParseError(
-                        "divided-power order must be an integer", num.line, num.column
-                    )
-                self.advance()
-                self.expect("]")
-                order = int(num.text)
+            order = self._order() if self._at("[") else None
             return Sym(tok.text, order, tok.line, tok.column)
         raise ParseError(f"unexpected {tok.text or 'end of input'!r}", tok.line, tok.column)
+
+    def _order(self) -> int:
+        """A bracketed divided-power order [INT]."""
+        self.expect("[")
+        num = self.peek()
+        if num.kind != "int":
+            raise ParseError("divided-power order must be an integer", num.line, num.column)
+        self.advance()
+        self.expect("]")
+        return int(num.text)
 
     def _at(self, text: str) -> bool:
         tok = self.peek()

@@ -82,14 +82,6 @@ class Poly(Combination):
     def is_constant(self) -> bool:
         return all(all(e == 0 for e in exp) for exp in self.terms)
 
-    def constant_value(self):
-        return self.terms.get((0,) * self.ring.nvars, self.ring.field.zero)
-
-    def total_degree(self) -> int:
-        if not self.terms:
-            return -1
-        return max(sum(e) for e in self.terms)
-
     def __mul__(self, other):
         if not isinstance(other, Poly):
             return self.scale(other)

@@ -9,14 +9,10 @@ identically, and parsing a printed form recovers the value exactly.
 from __future__ import annotations
 
 
-def _format_scalar(field, c) -> str:
-    return field.format(c)
-
-
 def _coeff_prefix(field, c, factors: list[str]) -> str:
     """Render coefficient c times a (possibly empty) monomial factor list."""
     body = "*".join(factors)
-    s = _format_scalar(field, c)
+    s = field.format(c)
     if not body:
         return s
     if s == "1":
@@ -45,6 +41,19 @@ def _render(parent, terms, sort_key, factors) -> str:
         else:
             parts.append(f"- {text}" if neg else f"+ {text}")
     return " ".join(parts) if parts else "0"
+
+
+def _records(parent, terms, sort_key, names) -> list[dict]:
+    """One record per term in printed order: the coefficient's text and
+    each part of the key under its name, tuples as lists."""
+    field = parent.field
+    out = []
+    for key in sorted(terms, key=sort_key):
+        rec = {"coeff": field.format(terms[key])}
+        for name, part in zip(names, key):
+            rec[name] = list(part) if isinstance(part, tuple) else part
+        out.append(rec)
+    return out
 
 
 def _power(name: str, e: int) -> str:
@@ -86,16 +95,7 @@ def format_element(a) -> str:
 
 
 def element_records(a) -> list[dict]:
-    field = a.ctx.field
-    return [
-        {
-            "coeff": _format_scalar(field, a.terms[key]),
-            "m": key[0],
-            "I": list(key[1]),
-            "J": list(key[2]),
-        }
-        for key in sorted(a.terms, key=_element_sort_key)
-    ]
+    return _records(a.ctx, a.terms, _element_sort_key, ("m", "I", "J"))
 
 
 # -- differential operators on H_n -------------------------------------------
@@ -126,19 +126,7 @@ def format_operator(d) -> str:
 
 
 def operator_records(d) -> list[dict]:
-    field = d.ctx.field
-    return [
-        {
-            "coeff": _format_scalar(field, d.terms[key]),
-            "m": key[0],
-            "I": list(key[1]),
-            "J": list(key[2]),
-            "s": key[3],
-            "K": list(key[4]),
-            "L": list(key[5]),
-        }
-        for key in sorted(d.terms, key=_operator_sort_key)
-    ]
+    return _records(d.ctx, d.terms, _operator_sort_key, ("m", "I", "J", "s", "K", "L"))
 
 
 # -- polynomials and polynomial differential operators ------------------------
@@ -178,12 +166,4 @@ def format_pdop(d) -> str:
 
 
 def pdop_records(d) -> list[dict]:
-    field = d.ring.field
-    return [
-        {
-            "coeff": _format_scalar(field, d.terms[key]),
-            "beta": list(key[0]),
-            "alpha": list(key[1]),
-        }
-        for key in sorted(d.terms, key=_pdop_sort_key)
-    ]
+    return _records(d.ring, d.terms, _pdop_sort_key, ("beta", "alpha"))

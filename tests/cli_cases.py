@@ -1,7 +1,8 @@
 """The fixed CLI invocations pinned by golden files.
 
 Paths use the {FIX} placeholder for the fixtures directory.  Each case is
-(name, argv); expected stdout lives in golden/<name>.txt.
+(name, argv); expected stdout lives in golden/<name>.txt.  The --help
+cases depend on the terminal width, so they run with COLUMNS=80.
 """
 
 import os
@@ -60,4 +61,25 @@ CASES = [
             "{FIX}/fin_m2_dual_f5_centre.json",
         ],
     ),
+]
+
+COMMANDS = [
+    "normalize",
+    "comm",
+    "apply",
+    "compose",
+    "mdeg",
+    "order",
+    "reduce",
+    "weyl-decompose",
+    "decompose",
+    "reconstruct",
+    "zeta",
+    "eta",
+    "azumaya-check",
+    "zfilt",
+]
+
+CASES += [("help", ["--help"])] + [
+    (f"help_{cmd.replace('-', '_')}", [cmd, "--help"]) for cmd in COMMANDS
 ]

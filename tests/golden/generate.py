@@ -18,6 +18,7 @@ from diffops.cli import main
 
 
 def run():
+    os.environ["COLUMNS"] = "80"  # argparse wraps --help to the terminal width
     for name, argv in CASES:
         buf = io.StringIO()
         with contextlib.redirect_stdout(buf):

@@ -24,7 +24,8 @@ def run_cli(argv):
 
 
 @pytest.mark.parametrize("name,argv", CASES, ids=[c[0] for c in CASES])
-def test_golden(name, argv):
+def test_golden(name, argv, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps --help to the terminal width
     rc, out, _ = run_cli(expand(argv))
     assert rc == 0
     with open(os.path.join(GOLDEN, f"{name}.txt"), "r", encoding="utf-8") as fh:
@@ -58,11 +59,40 @@ def test_exit_code_bad_file():
     assert rc == 1
 
 
-def test_usage_error_is_exit_one():
-    rc, _, _ = run_cli(["normalize"])  # missing argument
-    assert rc == 1
-    rc, _, _ = run_cli(["no-such-command"])
-    assert rc == 1
+#: usage errors: (argv, the exact stderr)
+USAGE_ERRORS = {
+    "missing_expression": (
+        ["normalize"],
+        "usage: diffops normalize [-h] [--n N] [--char CHAR] [--mode {heisenberg,weyl}]\n"
+        "                         [--format {text,structured}]\n"
+        "                         expr\n"
+        "error: the following arguments are required: expr\n",
+    ),
+    "unknown_command": (
+        ["no-such-command"],
+        "usage: diffops [-h]\n"
+        "               {normalize,comm,apply,compose,mdeg,order,reduce,weyl-decompose,"
+        "decompose,reconstruct,zeta,eta,azumaya-check,zfilt}\n"
+        "               ...\n"
+        "error: argument command: invalid choice: 'no-such-command' (choose from "
+        "'normalize', 'comm', 'apply', 'compose', 'mdeg', 'order', 'reduce', "
+        "'weyl-decompose', 'decompose', 'reconstruct', 'zeta', 'eta', 'azumaya-check', "
+        "'zfilt')\n",
+    ),
+    "bad_int_flag": (
+        ["zfilt", "x", "--i-max", "q"],
+        "usage: diffops zfilt [-h] [--i-max I_MAX] [--central CENTRAL]\n"
+        "                     [--format {text,structured}]\n"
+        "                     algebra\n"
+        "error: argument --i-max: invalid int value: 'q'\n",
+    ),
+}
+
+
+def test_usage_error_is_exit_one(monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps the usage line
+    for argv, stderr in USAGE_ERRORS.values():
+        assert run_cli(argv) == (1, "", stderr)
 
 
 def test_env_default_characteristic(monkeypatch):
@@ -161,6 +191,30 @@ def test_malformed_record_is_one_error_line(tmp_path, case):
     rc, out, err = run_cli(MALFORMED[case](tmp_path))
     assert (rc, out) == (1, "")
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def _first_term(rec):
+    return next(cell[0] for row in rec["entries"] for cell in row if cell)
+
+
+#: faults in an operator-matrix record; each was a traceback from decompose
+BAD_MATRIX = {
+    "term_not_a_record": lambda rec: rec["entries"][0].__setitem__(0, [5]),
+    "term_without_beta": lambda rec: _first_term(rec).pop("beta"),
+    "entries_not_a_list": lambda rec: rec.__setitem__("entries", 5),
+    "zero_denominator": lambda rec: _first_term(rec).__setitem__("coeff", "1/0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_MATRIX))
+def test_bad_matrix_record_is_one_error_line(tmp_path, case):
+    with open(os.path.join(FIXTURES, "m2_f3t_matrix.json"), encoding="utf-8") as fh:
+        rec = json.load(fh)
+    BAD_MATRIX[case](rec)
+    alg = os.path.join(FIXTURES, "m2_f3t.json")
+    rc, out, err = run_cli(["decompose", alg, _write(tmp_path / "m.json", rec)])
+    assert (rc, out) == (1, "")
+    assert err.startswith("error: bad operator-matrix record: ") and err.count("\n") == 1
 
 
 def test_deep_nesting_is_exit_one():
