@@ -489,6 +489,8 @@ def matrix_from_record(rec: dict) -> OperatorMatrix:
                 terms = {}
                 for t in expect(cell, list):
                     key = (tuple(int(e) for e in t["beta"]), tuple(int(e) for e in t["alpha"]))
+                    if any(e < 0 for e in key[0] + key[1]):
+                        raise ValueError(f"negative exponent in {key}")
                     terms[key] = ring.field.coerce(str(t["coeff"]))
                 out_row.append(PDOp(ring, terms))
             entries.append(out_row)

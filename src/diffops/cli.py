@@ -72,9 +72,12 @@ def _load_json(path: str) -> dict:
 
 def _write_out(path, record):
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, sort_keys=True, indent=1)
-            fh.write("\n")
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(record, fh, sort_keys=True, indent=1)
+                fh.write("\n")
+        except OSError as exc:
+            raise ValidationError(f"cannot write {path}: {exc}") from None
 
 
 # -- output -----------------------------------------------------------------------

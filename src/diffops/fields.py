@@ -81,10 +81,6 @@ class FieldSpec:
         c = a + b
         return c % self.characteristic if self.characteristic else c
 
-    def sub(self, a, b):
-        c = a - b
-        return c % self.characteristic if self.characteristic else c
-
     def mul(self, a, b):
         c = a * b
         return c % self.characteristic if self.characteristic else c

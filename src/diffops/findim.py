@@ -4,16 +4,16 @@ A FinAlgebra is fields.StructureAlgebra with scalar structure constants.
 The filtration is exact linear algebra over Q or F_p on the coordinate
 space End(A) of a FinAlgebra A.  Z_0 is the span of both-sided multiples of the bimodule
 centre of End(A), and each next level is the bimodule span of the
-preimage of the centre of the quotient.  Subspaces are reduced row
-echelon bases grown one vector at a time, and a level grows from the one
-below it by closing its new vectors under both-sided multiplication.
+preimage of the centre of the quotient.  One echelon class, LinearSubspace,
+holds a reduced row echelon basis by sparse rows grown one vector at a time;
+a level grows from the one below it by closing its new vectors under
+both-sided multiplication, and each level is returned as a copy.
 The same machinery runs relative to a central subalgebra, which
 dominates the absolute filtration.
 """
 
 from __future__ import annotations
 
-from bisect import insort
 from dataclasses import dataclass
 
 from .errors import ValidationError
@@ -21,86 +21,61 @@ from .fields import DUAL_NUMBERS, FieldSpec, StructureAlgebra, matrix_units, rea
 
 
 class LinearSubspace:
-    """Subspace of a coordinate space, held as a reduced row echelon basis."""
+    """Subspace of a coordinate space, held as a reduced row echelon basis.
 
-    __slots__ = ("ambient", "field", "rows", "pivots")
+    The rows are held by their nonzero entries, row[pivot] = {column: value};
+    pivots and rows give them by ascending pivot, rows in full coordinates
+    built when read.  The library never changes a subspace after returning
+    it, so a returned subspace hashes by its span.
+    """
+
+    __slots__ = ("ambient", "field", "row")
 
     def __init__(self, ambient: int, field: FieldSpec, vectors=()):
         self.ambient = ambient
         self.field = field
-        rows, pivots = _rref(_sparse(vectors, ambient), ambient, field).dense()
-        self.rows = rows
-        self.pivots = pivots
+        self.row = {}  # pivot column -> row
+        if vectors:
+            _rref(self, _sparse(vectors, ambient))
 
     @property
     def dim(self) -> int:
-        return len(self.rows)
+        return len(self.row)
 
-    def reduce(self, vec):
-        """Residual of vec modulo the subspace (zero iff vec is contained)."""
-        f = self.field
-        v = list(vec)
-        for row, p in zip(self.rows, self.pivots):
-            c = v[p]
-            if c != 0:
-                for k in range(p, self.ambient):
-                    v[k] = f.sub(v[k], f.mul(c, row[k]))
-        return v
+    @property
+    def pivots(self) -> tuple:
+        return tuple(sorted(self.row))
+
+    @property
+    def rows(self) -> tuple:
+        zero = self.field.zero
+        return tuple(
+            tuple(self.row[q].get(k, zero) for k in range(self.ambient)) for q in self.pivots
+        )
+
+    def copy(self) -> LinearSubspace:
+        out = LinearSubspace(self.ambient, self.field)
+        out.row = {q: dict(r) for q, r in self.row.items()}
+        return out
 
     def contains(self, vec) -> bool:
-        return all(c == 0 for c in self.reduce(vec))
+        return not self._reduce(_sparse([vec], self.ambient)[0])
 
-    def contains_subspace(self, other: "LinearSubspace") -> bool:
-        return all(self.contains(row) for row in other.rows)
+    def contains_subspace(self, other: LinearSubspace) -> bool:
+        return not any(self._reduce(r) for r in other.row.values())
 
     def __eq__(self, other):
         return (
             isinstance(other, LinearSubspace)
             and self.ambient == other.ambient
             and self.field == other.field
-            and self.rows == other.rows
+            and self.row == other.row
         )
 
     def __hash__(self):
         return hash((self.ambient, self.field, self.rows))
 
-
-def _sparse(vectors, ambient):
-    """Each vector as {index: value} of its nonzero entries, after a length check."""
-    out = []
-    for v in vectors:
-        if len(v) != ambient:
-            raise ValidationError("vector length does not match ambient dimension")
-        out.append({k: c for k, c in enumerate(v) if c})
-    return out
-
-
-def _pruned(vec, p):
-    """vec without its zero entries, reduced mod p in characteristic p."""
-    if p:
-        return {k: r for k, c in vec.items() if (r := c % p)}
-    return {k: c for k, c in vec.items() if c}
-
-
-class _Echelon:
-    """A reduced row echelon basis that grows by inserting one vector at a time.
-
-    Rows and vectors are held by their nonzero entries {column: value}.
-    """
-
-    __slots__ = ("ambient", "field", "row", "pivots")
-
-    def __init__(self, ambient: int, field: FieldSpec):
-        self.ambient = ambient
-        self.field = field
-        self.row = {}  # pivot column -> row
-        self.pivots = []  # ascending
-
-    @property
-    def dim(self) -> int:
-        return len(self.pivots)
-
-    def reduce(self, vec: dict) -> dict:
+    def _reduce(self, vec: dict) -> dict:
         """Residual of vec modulo the span.
 
         Every row vanishes at the other pivots, so vec[q] is the coefficient
@@ -114,13 +89,13 @@ class _Echelon:
                     out[k] = out.get(k, 0) - c * x
         return _pruned(out, self.field.characteristic)
 
-    def insert(self, vec: dict) -> bool:
+    def _insert(self, vec: dict) -> bool:
         """Add vec to the span; False when it was already there.
 
-        The residual is normalised at its first nonzero entry q, q is
-        cleared from the older rows, and the new row takes its sorted place.
+        The residual is normalised at its first nonzero entry q, and q is
+        cleared from the older rows.
         """
-        r = self.reduce(vec)
+        r = self._reduce(vec)
         if not r:
             return False
         f = self.field
@@ -140,27 +115,9 @@ class _Echelon:
                     else:
                         del row[k]
         self.row[q] = r
-        insort(self.pivots, q)
         return True
 
-    def dense(self):
-        """(rows, pivots) as tuples, rows in full coordinates, by ascending pivot."""
-        rows = []
-        for q in self.pivots:
-            v = [self.field.zero] * self.ambient
-            for k, c in self.row[q].items():
-                v[k] = c
-            rows.append(tuple(v))
-        return tuple(rows), tuple(self.pivots)
-
-    def subspace(self) -> LinearSubspace:
-        out = LinearSubspace.__new__(LinearSubspace)
-        out.ambient = self.ambient
-        out.field = self.field
-        out.rows, out.pivots = self.dense()
-        return out
-
-    def kernel(self) -> list[dict]:
+    def _kernel(self) -> list[dict]:
         """Basis of the solutions x of row . x = 0 over all rows, one per free column."""
         f = self.field
         at = {}  # free column -> entries of its solution at the pivots
@@ -175,25 +132,36 @@ class _Echelon:
         ]
 
 
-def _rref(vectors, ambient, field) -> _Echelon:
-    """The echelon basis of the span of vectors given by their nonzero entries."""
-    ech = _Echelon(ambient, field)
+def _sparse(vectors, ambient):
+    """Each vector as {index: value} of its nonzero entries, after a length check."""
+    out = []
     for v in vectors:
-        if ech.dim == ambient:
+        if len(v) != ambient:
+            raise ValidationError("vector length does not match ambient dimension")
+        out.append({k: c for k, c in enumerate(v) if c})
+    return out
+
+
+def _pruned(vec, p):
+    """vec without its zero entries, reduced mod p in characteristic p."""
+    if p:
+        return {k: r for k, c in vec.items() if (r := c % p)}
+    return {k: c for k, c in vec.items() if c}
+
+
+def _rref(sub: LinearSubspace, vectors) -> LinearSubspace:
+    """Grow sub by vectors given by their nonzero entries, up to full rank."""
+    for v in vectors:
+        if sub.dim == sub.ambient:
             break
-        ech.insert(v)
-    return ech
+        sub._insert(v)
+    return sub
 
 
 def nullspace(rows, ncols, field) -> list[tuple]:
     """Basis of the solution space of (rows) . x = 0."""
-    out = []
-    for sol in _rref(_sparse(rows, ncols), ncols, field).kernel():
-        vec = [field.zero] * ncols
-        for k, c in sol.items():
-            vec[k] = c
-        out.append(tuple(vec))
-    return out
+    kernel = LinearSubspace(ncols, field, rows)._kernel()
+    return [tuple(sol.get(k, field.zero) for k in range(ncols)) for sol in kernel]
 
 
 class FinAlgebra(StructureAlgebra):
@@ -246,7 +214,7 @@ def _commutator_column(mult, a: int, b: int, d: int, p: int) -> dict:
     return _pruned(out, p)
 
 
-def _close(ech: _Echelon, vectors, mults, d: int):
+def _close(ech: LinearSubspace, vectors, mults, d: int):
     """Grow ech by vectors, then by L.phi and phi.L for every multiplier L
     and every phi that went in, until nothing new goes in or ech is full.
 
@@ -259,7 +227,7 @@ def _close(ech: _Echelon, vectors, mults, d: int):
     for v in vectors:
         if ech.dim == full:
             return
-        if ech.insert(v):
+        if ech._insert(v):
             queue.append(v)
     while queue:
         phi = queue.pop()
@@ -268,11 +236,11 @@ def _close(ech: _Echelon, vectors, mults, d: int):
                 if ech.dim == full:
                     return
                 prod = _mat_mul(mult, phi, d, p, left)
-                if ech.insert(prod):
+                if ech._insert(prod):
                     queue.append(prod)
 
 
-def _centre_of_quotient(alg, mults, prev: _Echelon | None) -> list[dict]:
+def _centre_of_quotient(alg, mults, prev: LinearSubspace | None) -> list[dict]:
     """Operators phi with [L, phi] inside prev (or zero) for every multiplier L.
 
     prev is a bimodule, so it lies among the solutions; they are prev plus
@@ -290,10 +258,10 @@ def _centre_of_quotient(alg, mults, prev: _Echelon | None) -> list[dict]:
         for g, mult in enumerate(mults):
             col = _commutator_column(mult, a, b, d, p)
             if prev is not None:
-                col = prev.reduce(col)
+                col = prev._reduce(col)
             for q, c in col.items():
                 system.setdefault((g, q), {})[u] = c
-    sols = _rref(system.values(), len(free), f).kernel()
+    sols = _rref(LinearSubspace(len(free), f), system.values())._kernel()
     return [{free[u]: c for u, c in sol.items()} for sol in sols]
 
 
@@ -307,7 +275,7 @@ def _left_mults(alg, coords=None):
 def bimodule_center(alg: FinAlgebra) -> LinearSubspace:
     """Operators commuting with the bimodule action; the right multiplications."""
     mults = _left_mults(alg)
-    return _rref(_centre_of_quotient(alg, mults, None), alg.dim**2, alg.field).subspace()
+    return _rref(LinearSubspace(alg.dim**2, alg.field), _centre_of_quotient(alg, mults, None))
 
 
 def bimodule_span(alg: FinAlgebra, sub: LinearSubspace, mults=None) -> LinearSubspace:
@@ -318,9 +286,9 @@ def bimodule_span(alg: FinAlgebra, sub: LinearSubspace, mults=None) -> LinearSub
     """
     d = alg.dim
     mults = _left_mults(alg) if mults is None else [_multiplier(L) for L in mults]
-    ech = _Echelon(d * d, alg.field)
-    _close(ech, _sparse(sub.rows, d * d), mults, d)
-    return ech.subspace()
+    ech = LinearSubspace(d * d, alg.field)
+    _close(ech, sub.row.values(), mults, d)
+    return ech
 
 
 @dataclass
@@ -350,9 +318,9 @@ def _filtration(alg: FinAlgebra, mults, i_max: int) -> FiltrationReport:
     together with the solutions of the centre of End(A)/level i."""
     d = alg.dim
     full = d * d
-    ech = _Echelon(full, alg.field)
+    ech = LinearSubspace(full, alg.field)
     _close(ech, _centre_of_quotient(alg, mults, None), mults, d)
-    levels = [(0, ech.subspace())]
+    levels = [(0, ech.copy())]
     stabilized = 0 if ech.dim == full else None
     i = 0
     while stabilized is None and i < i_max:
@@ -362,7 +330,7 @@ def _filtration(alg: FinAlgebra, mults, i_max: int) -> FiltrationReport:
         if ech.dim == before:
             stabilized = i - 1
             break
-        levels.append((i, ech.subspace()))
+        levels.append((i, ech.copy()))
         if ech.dim == full:
             stabilized = i
     return FiltrationReport(levels, stabilized)

@@ -283,29 +283,18 @@ def rho_of(a: HElement) -> DOperator:
     rho_y = lambda_y + lambda_h dx, extended anti-multiplicatively.
     """
     ctx = a.ctx
+    lam_h = lambda_of(gen_h(ctx))
+    idx = range(1, ctx.n + 1)
+    rho_gens = [lambda_of(gen_x(ctx, l)) - op_compose(lam_h, dy(ctx, l)) for l in idx]
+    rho_gens += [lambda_of(gen_y(ctx, l)) + op_compose(lam_h, dx(ctx, l)) for l in idx]
     out = DOperator.zero(ctx)
     for (m, I, J), c in a.terms.items():
         cur = lambda_of(gen_h(ctx) ** m) if m else identity_op(ctx)
-        for l in range(1, ctx.n + 1):
-            rx = _rho_gen_x(ctx, l)
-            for _ in range(I[l - 1]):
-                cur = op_compose(rx, cur)
-        for l in range(1, ctx.n + 1):
-            ry = _rho_gen_y(ctx, l)
-            for _ in range(J[l - 1]):
-                cur = op_compose(ry, cur)
+        for rho, e in zip(rho_gens, I + J):
+            for _ in range(e):
+                cur = op_compose(rho, cur)
         out = out + cur.scale(c)
     return out
-
-
-def _rho_gen_x(ctx, l):
-    lam_h = lambda_of(gen_h(ctx))
-    return lambda_of(gen_x(ctx, l)) - op_compose(lam_h, dy(ctx, l))
-
-
-def _rho_gen_y(ctx, l):
-    lam_h = lambda_of(gen_h(ctx))
-    return lambda_of(gen_y(ctx, l)) + op_compose(lam_h, dx(ctx, l))
 
 
 # -- filtration degree ----------------------------------------------------------
@@ -400,24 +389,17 @@ def reduce_to_scalar(d: DOperator) -> ReductionWitness:
 
     while _content(cur, lambda k: k[3]) > 0:
         take("h")
-    for l in range(1, ctx.n + 1):
-        i = l - 1
-        while _content(cur, lambda k: k[1][i] + k[5][i]) > 0:
-            nxt = op_commutator(cur, partner_operator(ctx, f"y{l}"))
-            if nxt.is_zero():
-                take(f"dx{l}")
-            else:
-                cur = nxt
-                partners.append(f"y{l}")
-    for l in range(1, ctx.n + 1):
-        i = l - 1
-        while _content(cur, lambda k: k[2][i] + k[4][i]) > 0:
-            nxt = op_commutator(cur, partner_operator(ctx, f"x{l}"))
-            if nxt.is_zero():
-                take(f"dy{l}")
-            else:
-                cur = nxt
-                partners.append(f"x{l}")
+    # key slots 1 and 5 hold the x_l/dy_l content, slots 2 and 4 the y_l/dx_l content
+    for (a, b), mult, fallback in (((1, 5), "y", "dx"), ((2, 4), "x", "dy")):
+        for l in range(1, ctx.n + 1):
+            i = l - 1
+            while _content(cur, lambda k: k[a][i] + k[b][i]) > 0:
+                nxt = op_commutator(cur, partner_operator(ctx, f"{mult}{l}"))
+                if nxt.is_zero():
+                    take(f"{fallback}{l}")
+                else:
+                    cur = nxt
+                    partners.append(f"{mult}{l}")
     while _content(cur, lambda k: k[0]) > 0:
         take("dh")
 
@@ -478,16 +460,11 @@ def inner_decompose(d: DOperator) -> list[tuple[HElement, HElement]]:
         for l in range(n):
             xk = (0, ctx.unit_index(l + 1), z)
             yk = (0, z, ctx.unit_index(l + 1))
-            for _ in range(K[l]):
-                # rho_y - lambda_y
-                t_pos = tensor_mul(t, unit, yk, 1)
-                t_neg = tensor_mul(t, yk, unit, -1)
-                t = _tensor_add(f, t_pos, t_neg)
-            for _ in range(L[l]):
-                # lambda_x - rho_x
-                t_pos = tensor_mul(t, xk, unit, 1)
-                t_neg = tensor_mul(t, unit, xk, -1)
-                t = _tensor_add(f, t_pos, t_neg)
+            # dx_l -> rho_y - lambda_y, K[l] times; dy_l -> lambda_x - rho_x, L[l] times
+            for e, a_key, b_key in ((K[l], unit, yk), (L[l], xk, unit)):
+                for _ in range(e):
+                    pos, neg = tensor_mul(t, a_key, b_key, 1), tensor_mul(t, b_key, a_key, -1)
+                    t = _tensor_add(f, pos, neg)
             fact = f.mul(f.factorial(K[l]), f.factorial(L[l]))
             if fact == 0:
                 raise UnsupportedCharacteristicError(

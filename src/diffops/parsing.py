@@ -20,7 +20,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 
-from .errors import ParseError, ValidationError
+from .errors import MathError, ParseError, ValidationError
 from .heisenberg import AlgebraContext, HElement, h as gen_h, x as gen_x, y as gen_y
 from .operators import DOperator, dh, dh_reversed, dx, dy, lambda_of, op_compose
 from .polydiff import PDOp, p_compose
@@ -29,6 +29,8 @@ from .polyring import Poly, PolyRing
 #: deepest nesting of parentheses and unary minuses; the parser recurses
 #: about four frames per level and must stay inside Python's stack limit
 MAX_NESTING = 200
+#: largest exponent after ^; each power is that many products
+MAX_EXPONENT = 10_000
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^()\[\]])")
 
@@ -259,6 +261,8 @@ class _Evaluator:
         if isinstance(node, Pow):
             if node.exponent < 0:
                 raise ValidationError("negative exponent")
+            if node.exponent > MAX_EXPONENT:
+                raise MathError(f"exponent {node.exponent} above the cap of {MAX_EXPONENT}")
             return self.power(self.eval(node.base), node.exponent)
         if isinstance(node, Sym):
             return self.symbol(node)

@@ -5,10 +5,12 @@ import importlib.util
 import io
 import json
 import os
+import time
 
 import pytest
 
 from diffops.cli import main
+from diffops.parsing import MAX_EXPONENT
 
 from cli_cases import CASES, FIXTURES, expand
 
@@ -203,6 +205,7 @@ BAD_MATRIX = {
     "term_without_beta": lambda rec: _first_term(rec).pop("beta"),
     "entries_not_a_list": lambda rec: rec.__setitem__("entries", 5),
     "zero_denominator": lambda rec: _first_term(rec).__setitem__("coeff", "1/0"),
+    "negative_exponent": lambda rec: _first_term(rec).__setitem__("beta", [-1]),
 }
 
 
@@ -215,6 +218,24 @@ def test_bad_matrix_record_is_one_error_line(tmp_path, case):
     rc, out, err = run_cli(["decompose", alg, _write(tmp_path / "m.json", rec)])
     assert (rc, out) == (1, "")
     assert err.startswith("error: bad operator-matrix record: ") and err.count("\n") == 1
+
+
+def test_unwritable_out_is_one_error_line(tmp_path):
+    alg = os.path.join(FIXTURES, "m2_f3t.json")
+    mat = os.path.join(FIXTURES, "m2_f3t_matrix.json")
+    missing = str(tmp_path / "missing" / "x.json")
+    rc, out, err = run_cli(["decompose", alg, mat, "--out", missing])
+    assert rc == 1 and out.startswith("entry 0 0: ")
+    assert err.startswith("error: cannot write ") and err.count("\n") == 1
+
+
+def test_huge_exponent_is_exit_two():
+    start = time.perf_counter()
+    for k in (100_000_000, MAX_EXPONENT + 1):
+        rc, out, err = run_cli(["normalize", f"x1^{k}"])
+        assert (rc, out) == (2, "")
+        assert err == f"error: exponent {k} above the cap of {MAX_EXPONENT}\n"
+    assert time.perf_counter() - start < 5
 
 
 def test_deep_nesting_is_exit_one():

@@ -305,9 +305,14 @@ def test_filtrations_match_literal_oracle(n, k, p):
 @pytest.mark.parametrize("p", [2, 5, 7, 0])
 def test_insertion_matches_gauss_jordan(p):
     # low-rank random vectors with duplicates and zeros mixed in, inserted
-    # one at a time, give the oracle's RREF; nullspace gives its kernel
+    # one at a time, give the oracle's RREF; nullspace gives its kernel;
+    # membership agrees with the oracle's rank, a shuffled insertion order
+    # gives an equal subspace, and bimodule_span leaves its input as it was
     f = FieldSpec(p)
     rng = random.Random(p)
+    extra = random.Random(f"{p}/extra")
+    dual = dual_numbers_algebra(f)
+    algebras = {1: field_algebra(f), 16: tensor_algebra(dual, dual)}
     for n, rank, count in [(1, 1, 3), (6, 3, 9), (12, 7, 20), (10, 10, 14), (16, 5, 12)]:
         gens = [[f.coerce(random_scalar(rng, f)) for _ in range(n)] for _ in range(rank)]
         vecs = []
@@ -327,6 +332,27 @@ def test_insertion_matches_gauss_jordan(p):
             for v in vecs:
                 assert f.coerce(sum(a * b for a, b in zip(v, x))) == 0
         assert len(gauss_jordan(kernel, n, p)[0]) == len(kernel)
+
+        def spans_nothing_new(more):
+            return len(gauss_jordan(vecs + more, n, p)[0]) == len(want_rows)
+
+        randoms = [[f.coerce(random_scalar(extra, f)) for _ in range(n)] for _ in range(3)]
+        probes = vecs[:3] + randoms
+        for v in probes:
+            assert sub.contains(v) == spans_nothing_new([v])
+        for k in range(1, 4):
+            other = LinearSubspace(n, f, probes[2 : 2 + k])
+            assert sub.contains_subspace(other) == spans_nothing_new(probes[2 : 2 + k])
+        shuffled = list(vecs)
+        extra.shuffle(shuffled)
+        again = LinearSubspace(n, f, shuffled)
+        assert again == sub and hash(again) == hash(sub)
+        first = LinearSubspace(n, f, vecs[:1])
+        assert (first == sub) == (len(gauss_jordan(vecs[:1], n, p)[0]) == len(want_rows))
+        if n in algebras:
+            span = bimodule_span(algebras[n], sub)
+            assert (sub.rows, sub.pivots) == (want_rows, want_pivots)
+            assert span.contains_subspace(sub)
 
 
 def _verdict(domain, table, unit):
