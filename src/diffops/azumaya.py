@@ -24,12 +24,7 @@ from itertools import product
 from .errors import MathError, ValidationError
 from .fields import DUAL_NUMBERS, FieldSpec, StructureAlgebra, expect, matrix_units
 from .fields import read_record
-from .heisenberg import (
-    AlgebraContext,
-    HElement,
-    central_decompose,
-    centre_ring,
-)
+from .heisenberg import MODE_WEYL, AlgebraContext, HElement, central_decompose, centre_ring
 from .polydiff import PDOp, grothendieck_order_check, p_compose
 from .polyring import Poly, PolyRing, bareiss_determinant
 
@@ -104,13 +99,8 @@ def build_weyl_charp(n: int, p: int) -> CenteredFreeAlgebra:
     Unlike the h-graded family, this one passes the two-sided
     multiplication isomorphism test at every point of the centre.
     """
-    from .heisenberg import MODE_WEYL
-
     ctx = AlgebraContext(n, FieldSpec(p), MODE_WEYL)
-    names = tuple(f"X{i}" for i in range(1, n + 1)) + tuple(
-        f"Y{i}" for i in range(1, n + 1)
-    )
-    ring = PolyRing(names, FieldSpec(p))
+    ring = PolyRing(tuple(f"{v}{i}" for v in "XY" for i in range(1, n + 1)), FieldSpec(p))
 
     def split(u):
         out = {}
@@ -338,29 +328,26 @@ def bimodule_scale(
 def azumaya_determinant(alg: CenteredFreeAlgebra, max_dim: int = 8) -> Poly:
     """Determinant of the map a_i (x) a_j^o -> (c -> a_i c a_j).
 
-    The map is written as an N^2 x N^2 matrix over the base ring.
-    Algebras of dimension above max_dim raise MathError, because the
-    determinant's degree grows with N^2.
+    The map is written as an N^2 x N^2 matrix over the base ring: column
+    i N + j holds a_i a_k a_j in coordinates, at rows l N + k.  Most of its
+    entries are 0 or nonzero constants, which bareiss_determinant takes as
+    pivots before it runs Bareiss on any block left over.  Algebras of
+    dimension above max_dim raise MathError, because the determinant's
+    degree grows with N^2.
     """
     n = alg.dim
     if n > max_dim:
         raise MathError(
             f"azumaya check limited to dimension {max_dim} (degree overflow guard)"
         )
-    ring = alg.ring
-    big = [[ring.zero() for _ in range(n * n)] for _ in range(n * n)]
-    for i in range(n):
-        for j in range(n):
-            col = i * n + j
-            for k in range(n):
-                # a_i a_k a_j in coordinates
-                prod = alg.mul_elements(
-                    alg.mul_elements(alg.basis_element(i), alg.basis_element(k)),
-                    alg.basis_element(j),
-                )
-                for l in range(n):
-                    big[l * n + k][col] = prod[l]
-    return bareiss_determinant(big, ring)
+    e = [alg.basis_element(i) for i in range(n)]
+    prods = {
+        (i, j, k): alg.mul_elements(alg.mul_elements(e[i], e[k]), e[j])
+        for i, j, k in product(range(n), repeat=3)
+    }
+    pairs = list(product(range(n), repeat=2))
+    big = [[prods[i, j, k][l] for i, j in pairs] for l, k in pairs]
+    return bareiss_determinant(big, alg.ring)
 
 
 def is_azumaya(alg: CenteredFreeAlgebra, max_dim: int = 8) -> bool:

@@ -16,11 +16,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .errors import (
-    IncompatibleContextError,
-    UnsupportedCharacteristicError,
-    ValidationError,
-)
+from .errors import IncompatibleContextError, MathError
+from .errors import UnsupportedCharacteristicError, ValidationError
 
 
 def _is_prime(p: int) -> bool:
@@ -133,9 +130,12 @@ class FieldSpec:
     # -- text form --------------------------------------------------------
 
     def format(self, a) -> str:
-        if self.characteristic == 0 and a.denominator != 1:
-            return f"{a.numerator}/{a.denominator}"
-        return str(a if self.characteristic == 0 else int(a))
+        try:
+            if self.characteristic == 0 and a.denominator != 1:
+                return f"{a.numerator}/{a.denominator}"
+            return str(a if self.characteristic == 0 else int(a))
+        except ValueError:  # Python's cap on int/str conversion
+            raise MathError("coefficient too long to print") from None
 
 
 class Combination:
@@ -157,7 +157,7 @@ class Combination:
         return bool(self.terms)
 
     def _check(self, other):
-        if self.parent != other.parent:
+        if self.parent is not other.parent and self.parent != other.parent:
             raise IncompatibleContextError(
                 f"contexts differ: {self.parent} vs {other.parent}"
             )

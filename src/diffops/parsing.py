@@ -31,6 +31,8 @@ from .polyring import Poly, PolyRing
 MAX_NESTING = 200
 #: largest exponent after ^; each power is that many products
 MAX_EXPONENT = 10_000
+#: longest number literal: Python's default cap on int/str conversion
+MAX_DIGITS = 4_300
 
 _TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^()\[\]])")
 
@@ -97,6 +99,8 @@ def tokenize(text: str) -> list[Token]:
             if not m:
                 raise ParseError(f"unexpected character {line[pos]!r}", line_no, pos)
             if m.group(1):
+                if len(m.group(1)) > MAX_DIGITS:
+                    raise ParseError(f"number longer than {MAX_DIGITS} digits", line_no, pos)
                 tokens.append(Token("int", m.group(1), line_no, pos))
             elif m.group(2):
                 tokens.append(Token("name", m.group(2), line_no, pos))

@@ -9,6 +9,7 @@ rings and for structure constants of free-over-centre algebras.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import add
 
 from .errors import ValidationError
 from .fields import Combination, FieldSpec
@@ -86,12 +87,13 @@ class Poly(Combination):
         if not isinstance(other, Poly):
             return self.scale(other)
         self._check(other)
-        f = self.ring.field
         out: dict = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
-                f.acc(out, tuple(a + b for a, b in zip(e1, e2)), f.mul(c1, c2))
-        return Poly(self.ring, out)
+                e = tuple(map(add, e1, e2))
+                out[e] = out.get(e, 0) + c1 * c2  # reduced mod p once, below
+        p = self.ring.field.characteristic
+        return Poly(self.ring, {e: c % p for e, c in out.items()} if p else out)
 
     def __pow__(self, k: int):
         if k < 0:
@@ -103,28 +105,25 @@ class Poly(Combination):
 
     # -- exact division (needed by fraction-free elimination) -------------
 
-    def _leading(self):
-        exp = max(self.terms)  # lex order on exponent tuples
-        return exp, self.terms[exp]
-
     def exact_div(self, other: "Poly") -> "Poly":
         """Quotient self/other, assuming the division is exact."""
         self._check(other)
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.ring.field
-        rem = self
+        de = max(other.terms)  # the leading term, in lex order on exponents
+        dc_inv = f.inv(other.terms[de])
+        tail = [(e, f.neg(c)) for e, c in other.terms.items() if e != de]
+        rem = dict(self.terms)
         quot: dict = {}
-        de, dc = other._leading()
-        dc_inv = f.inv(dc)
-        while not rem.is_zero():
-            re, rc = rem._leading()
+        while rem:
+            re = max(rem)  # each step's new terms sort below re
             qe = tuple(a - b for a, b in zip(re, de))
             if any(e < 0 for e in qe):
                 raise ArithmeticError("inexact polynomial division")
-            qc = f.mul(rc, dc_inv)
-            quot[qe] = qc
-            rem = rem - Poly(self.ring, {qe: qc}) * other
+            qc = quot[qe] = f.mul(rem.pop(re), dc_inv)
+            for e, c in tail:
+                f.acc(rem, tuple(map(add, qe, e)), f.mul(qc, c))
         return Poly(self.ring, quot)
 
     def __repr__(self):
@@ -134,33 +133,59 @@ class Poly(Combination):
 
 
 def bareiss_determinant(entries: list[list[Poly]], ring: PolyRing) -> Poly:
-    """Determinant of a square polynomial matrix by fraction-free elimination.
+    """Determinant of a square polynomial matrix, exactly, in two phases.
 
-    Divisions in the Bareiss recurrence are exact over an integral domain,
-    so entries stay polynomials throughout.
+    Phase 1 eliminates over sparse rows {column: Poly} on nonzero constant
+    pivots, each in the row with the fewest entries (Markowitz-style, to keep
+    fill-in small), updating only the rows with an entry in the pivot column;
+    the pivots and the signs of their places multiply into a scalar.  Phase 2
+    runs fraction-free Bareiss elimination on the block left over, skipping
+    every update whose result is zero; its divisions are exact over an
+    integral domain.
     """
     n = len(entries)
     if any(len(row) != n for row in entries):
         raise ValidationError("determinant of a non-square matrix")
-    if n == 0:
-        return ring.one()
-    m = [row[:] for row in entries]
-    sign = 1
+    f, zero = ring.field, ring.zero()
+    rows = {i: {j: e for j, e in enumerate(row) if e} for i, row in enumerate(entries)}
+    cols, scale = list(range(n)), f.one
+    while True:
+        best = None
+        for r, row in rows.items():
+            if best is None or len(row) < len(rows[best[0]]):
+                c = next((j for j, e in row.items() if e.is_constant()), None)
+                best = best if c is None else (r, c)
+        if best is None:
+            break
+        r, c = best
+        (pc,) = rows[r][c].terms.values()
+        odd = (list(rows).index(r) + cols.index(c)) % 2
+        scale, minus_inv = f.mul(scale, f.neg(pc) if odd else pc), f.neg(f.inv(pc))
+        cols.remove(c)
+        prow = rows.pop(r)
+        del prow[c]
+        for row in rows.values():
+            if c in row:
+                fac = row.pop(c).scale(minus_inv)
+                for j, b in prow.items():
+                    ring.acc(row, j, fac * b)
+    m = [[row.get(j, zero) for j in cols] for row in rows.values()]
     prev = ring.one()
-    for k in range(n - 1):
-        if m[k][k].is_zero():
-            for r in range(k + 1, n):
-                if not m[r][k].is_zero():
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return ring.zero()
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = m[k][k] * m[i][j] - m[i][k] * m[k][j]
-                m[i][j] = num.exact_div(prev)
-            m[i][k] = ring.zero()
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return -det if sign < 0 else det
+    for k in range(len(m) - 1):
+        r = next((r for r in range(k, len(m)) if m[r][k]), None)
+        if r is None:
+            return zero
+        if r != k:
+            m[k], m[r], scale = m[r], m[k], f.neg(scale)
+        p, pivot_row = m[k][k], m[k]
+        for row in m[k + 1 :]:
+            a = row[k]
+            if not a and p == prev:
+                continue  # the update would multiply the row by p / prev = 1
+            for j in range(k + 1, len(m)):
+                if a and pivot_row[j]:
+                    row[j] = (p * row[j] - a * pivot_row[j]).exact_div(prev)
+                elif row[j]:
+                    row[j] = (p * row[j]).exact_div(prev)
+        prev = p
+    return (m[-1][-1] if m else ring.one()).scale(scale)

@@ -8,7 +8,9 @@ filtration oracle follows the definition literally, with dense d x d
 matrix products and Gauss-Jordan elimination over all rows, and imports
 nothing from ``diffops.findim``.  The structure-constant check, the
 reference for the library's sparse validator, sums all d^5 products of
-its definition and shares no code with it.
+its definition and shares no code with it.  The determinant oracle
+expands along the first row over plain {exponent: coefficient} dicts and
+shares no code with the library's elimination.
 """
 
 from __future__ import annotations
@@ -330,6 +332,47 @@ def matrix_truncated_algebra(n, k, p, rng):
             v[pos[t]] = _inv(scale[pos[t]], p)
         central.append(v)
     return constants, pos[ident], central
+
+
+# -- determinants by cofactor expansion ---------------------------------------------
+
+# a polynomial is a dict {exponent tuple: nonzero coefficient}, coefficients
+# reduced mod p (or Fractions when p = 0)
+
+
+def plain_add(a, b, p=0):
+    out = dict(a)
+    for e, c in b.items():
+        v = out.get(e, 0) + c
+        v = v % p if p else v
+        if v:
+            out[e] = v
+        else:
+            out.pop(e, None)
+    return out
+
+
+def plain_mul(a, b, p=0):
+    out = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            out = plain_add(out, {tuple(x + y for x, y in zip(e1, e2)): c1 * c2}, p)
+    return out
+
+
+def cofactor_determinant(matrix, nvars, p=0):
+    """det by Laplace expansion along the first row, recursing on minors
+    down to the empty matrix, whose determinant is 1."""
+    if not matrix:
+        return {(0,) * nvars: 1}
+    out = {}
+    for j, entry in enumerate(matrix[0]):
+        if entry:
+            minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+            sign = {(0,) * nvars: 1 if j % 2 == 0 else (p - 1 if p else -1)}
+            term = plain_mul(plain_mul(sign, entry, p), cofactor_determinant(minor, nvars, p), p)
+            out = plain_add(out, term, p)
+    return out
 
 
 # -- random values ---------------------------------------------------------------

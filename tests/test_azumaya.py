@@ -1,6 +1,7 @@
 """Free-over-centre algebras: builders, extensions, decomposition, Azumaya test."""
 
 import random
+import time
 
 import pytest
 
@@ -381,6 +382,16 @@ def test_azumaya_matrix_algebra_rank3():
     # 81 x 81 determinant over F_2[t], still a scalar
     alg = build_matrix_algebra(3, PolyRing(("t",), FieldSpec(2)))
     assert is_azumaya(alg, max_dim=9)
+
+
+def test_azumaya_weyl_charp_2_2():
+    # a 256 x 256 determinant over F_2[X1, X2, Y1, Y2] (63 s by dense
+    # Bareiss); the constant pivots carry the whole elimination
+    from diffops.azumaya import build_weyl_charp
+
+    start = time.perf_counter()
+    assert is_azumaya(build_weyl_charp(2, 2), max_dim=16)
+    assert time.perf_counter() - start < 20
 
 
 def test_azumaya_control_case_fails():

@@ -10,7 +10,7 @@ import time
 import pytest
 
 from diffops.cli import main
-from diffops.parsing import MAX_EXPONENT
+from diffops.parsing import MAX_DIGITS, MAX_EXPONENT
 
 from cli_cases import CASES, FIXTURES, expand
 
@@ -236,6 +236,21 @@ def test_huge_exponent_is_exit_two():
         assert (rc, out) == (2, "")
         assert err == f"error: exponent {k} above the cap of {MAX_EXPONENT}\n"
     assert time.perf_counter() - start < 5
+
+
+@pytest.mark.parametrize("expr", ["x1^" + "9" * 5_000, "9" * 5_000], ids=["exponent", "number"])
+def test_too_long_literal_is_exit_one(expr):
+    rc, out, err = run_cli(["normalize", expr])
+    assert (rc, out) == (1, "")
+    assert err.startswith(f"error: number longer than {MAX_DIGITS} digits") and err.count("\n") == 1
+    assert run_cli(["normalize", "9" * MAX_DIGITS]) == (0, "9" * MAX_DIGITS + "\n", "")
+
+
+def test_too_long_coefficient_is_exit_two():
+    # h^10000 dh^10000 dh has a coefficient of more than 4,300 digits,
+    # beyond Python's int/str conversion cap
+    rc, out, err = run_cli(["compose", "h^10000*dh^10000", "dh"])
+    assert (rc, out, err) == (2, "", "error: coefficient too long to print\n")
 
 
 def test_deep_nesting_is_exit_one():

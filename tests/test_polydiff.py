@@ -8,6 +8,7 @@ from diffops import (
     FieldSpec,
     MINUS_INF,
     PDOp,
+    Poly,
     PolyRing,
     bareiss_determinant,
     grothendieck_order_check,
@@ -16,6 +17,8 @@ from diffops import (
     p_order,
 )
 from diffops.errors import IncompatibleContextError
+
+import oracles
 
 RQ = PolyRing(("t",), FieldSpec(0))
 R5 = PolyRing(("t",), FieldSpec(5))
@@ -186,3 +189,64 @@ def test_bareiss_matches_fraction_expansion():
                 term = term * m[i][perm[i]]
             ref = ref + (term if sign > 0 else -term)
         assert det == ref
+
+
+def _plain_entry(rng, p, kind):
+    """A plain {exponent: coeff} entry over F_p (Q when p = 0) in t, u:
+    zero, a nonzero constant, or a polynomial with a term of positive degree."""
+    def coeff():
+        return rng.choice([-3, -2, -1, 1, 2, 3]) if p == 0 else rng.randrange(1, p)
+
+    if kind == "zero":
+        return {}
+    if kind == "const":
+        return {(0, 0): coeff()}
+    # one term of positive degree in u (or, reversed, in t), then up to two more
+    out = {(rng.randint(0, 2), rng.randint(1, 2))[:: rng.choice([1, -1])]: coeff()}
+    for _ in range(rng.randint(0, 2)):
+        out[(rng.randint(0, 2), rng.randint(0, 2))] = coeff()
+    return out
+
+
+def _plain_matrix(rng, p, n, case):
+    kinds = {
+        "zero_pivots": ["zero", "zero", "const", "poly"],
+        "nonconstant": ["zero", "poly", "poly"],
+        "mixed": ["zero", "const", "poly"],
+        "singular": ["zero", "const", "poly"],
+    }
+    if case == "scattered_units":  # constants on a random permutation only,
+        # zeros on the diagonal: pivoting must reorder rows and columns
+        perm = rng.sample(range(n), n)
+        return [
+            [_plain_entry(rng, p, "const" if j == perm[i] else "zero" if i == j
+                          else rng.choice(["zero", "poly"])) for j in range(n)]
+            for i in range(n)
+        ]
+    m = [[_plain_entry(rng, p, rng.choice(kinds[case])) for _ in range(n)] for _ in range(n)]
+    if case == "zero_pivots":
+        m[0][0] = {}
+    if case == "singular" and n >= 2:  # last row = t * row 0 + c * row 1, c = 0 if n = 2
+        c = _plain_entry(rng, p, "const" if n > 2 else "zero")
+        m[-1] = [oracles.plain_add(oracles.plain_mul({(1, 0): 1}, a, p), oracles.plain_mul(c, b, p), p)
+                 for a, b in zip(m[0], m[1])]
+    return m
+
+
+@pytest.mark.parametrize("p", [0, 2, 5])
+def test_bareiss_matches_cofactor_oracle(p):
+    rng = random.Random(8000 + p)
+    ring = PolyRing(("t", "u"), FieldSpec(p))
+    cases = ["zero_pivots", "scattered_units", "nonconstant", "mixed", "singular"]
+    for case in cases:
+        for n in range(1, 6):
+            for _ in range(3):
+                m = _plain_matrix(rng, p, n, case)
+                ref = oracles.cofactor_determinant(m, 2, p)
+                if case == "singular" and n >= 2:
+                    assert ref == {}
+                entries = [[Poly(ring, {e: ring.field.coerce(c) for e, c in x.items()}) for x in row]
+                           for row in m]
+                det = bareiss_determinant(entries, ring)
+                assert det.terms == ref, (case, n, m)
+    assert bareiss_determinant([], ring) == ring.one()
