@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import operator
 from itertools import product
+from math import comb, prod
 
 from .errors import MathError, ValidationError
 from .fields import DUAL_NUMBERS, FieldSpec, StructureAlgebra, expect, matrix_units
@@ -381,7 +382,6 @@ def doperator_to_matrix(d, alg: CenteredFreeAlgebra) -> OperatorMatrix:
     ring = alg.ring
     exps = heisenberg_basis_exponents(n, p)
     index = {e: i for i, e in enumerate(exps)}
-    f = ctx.field
     out = OperatorMatrix.zero(ring, alg.dim)
     for (m, I, J, s, K, L), c in d.terms.items():
         k_low = tuple(e % p for e in K)
@@ -391,19 +391,11 @@ def doperator_to_matrix(d, alg: CenteredFreeAlgebra) -> OperatorMatrix:
         alpha = (s,) + k_high + l_high  # orders in (h, X_1.., Y_1..)
         u = HElement.monomial(ctx, m, I, J, c)
         for j, (Ib, Jb) in enumerate(exps):
-            w = f.one
-            for i in range(n):
-                w = f.mul(w, f.mul(f.binom(Ib[i], k_low[i]), f.binom(Jb[i], l_low[i])))
-                if w == 0:
-                    break
+            w = prod(map(comb, Ib, k_low)) * prod(map(comb, Jb, l_low)) % p
             if w == 0:
                 continue
             shifted = HElement.monomial(
-                ctx,
-                0,
-                tuple(Ib[i] - k_low[i] for i in range(n)),
-                tuple(Jb[i] - l_low[i] for i in range(n)),
-                w,
+                ctx, 0, map(operator.sub, Ib, k_low), map(operator.sub, Jb, l_low), w
             )
             parts = central_decompose(u * shifted)
             for (zero_m, Ir, Jr), poly in parts.items():

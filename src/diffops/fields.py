@@ -3,8 +3,10 @@ shared cores built on it.
 
 Scalars are plain values: ``fractions.Fraction`` in characteristic 0 and
 ``int`` in the range [0, p) in characteristic p.  A FieldSpec carries the
-characteristic and provides coercion, arithmetic helpers and binomial
-coefficients (by Lucas reduction mod p).  No floating point anywhere.
+characteristic and provides coercion and arithmetic helpers; its ``mul``
+also takes a plain ``int`` weight.  Every divided-power weight of the
+operator calculus is such an integer, and ``contractions`` enumerates
+their per-coordinate choices.  No floating point anywhere.
 Combination is the one linear-combination core of the value types, and
 StructureAlgebra the one structure-constant algebra, over a FieldSpec
 (findim.FinAlgebra) or a PolyRing (azumaya.CenteredFreeAlgebra).
@@ -12,7 +14,6 @@ StructureAlgebra the one structure-constant algebra, over a FieldSpec
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -103,30 +104,6 @@ class FieldSpec:
             raise ZeroDivisionError("inverse of zero")
         return pow(a, -1, self.characteristic)
 
-    def binom(self, m: int, k: int):
-        """C(m, k) as a field element; Lucas reduction in characteristic p."""
-        if k < 0 or m < 0 or k > m:
-            return self.zero
-        p = self.characteristic
-        if p == 0:
-            return Fraction(math.comb(m, k))
-        out = 1
-        while m or k:
-            md, m = m % p, m // p
-            kd, k = k % p, k // p
-            if kd > md:
-                return 0
-            out = out * math.comb(md, kd) % p
-        return out
-
-    def factorial(self, k: int):
-        if self.characteristic == 0:
-            return Fraction(math.factorial(k))
-        out = 1
-        for i in range(2, k + 1):
-            out = out * i % self.characteristic
-        return out
-
     # -- text form --------------------------------------------------------
 
     def format(self, a) -> str:
@@ -136,6 +113,22 @@ class FieldSpec:
             return str(a if self.characteristic == 0 else int(a))
         except ValueError:  # Python's cap on int/str conversion
             raise MathError("coefficient too long to print") from None
+
+
+def contractions(p: int, choices) -> list:
+    """Every pick of one (pick, weight) option per coordinate, with its weight.
+
+    ``choices`` lists the options of each coordinate; weights are integers.
+    Returns (picks, product of weights) pairs; an option whose weight is 0
+    mod p is dropped, and in characteristic p the products are reduced mod p.
+    """
+    out = [((), 1)]
+    for options in choices:
+        if p:  # c is a unit mod p, so c * w is 0 mod p only when w is
+            out = [(ks + (k,), c * w % p) for ks, c in out for k, w in options if w % p]
+        else:
+            out = [(ks + (k,), c * w) for ks, c in out for k, w in options]
+    return out
 
 
 class Combination:

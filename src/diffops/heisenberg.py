@@ -17,13 +17,15 @@ applied independently per index (different indices commute).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial
+from operator import add, sub
 
 from .errors import (
     UnsupportedCharacteristicError,
     UnsupportedModeError,
     ValidationError,
 )
-from .fields import Combination, FieldSpec
+from .fields import Combination, FieldSpec, contractions
 from .polyring import Poly, PolyRing
 
 MODE_HEISENBERG = "heisenberg"
@@ -126,25 +128,15 @@ def _mul_mono(ctx, key1, key2, c, out):
     f = ctx.field
     m1, I1, J1 = key1
     m2, I2, J2 = key2
-    n = ctx.n
-    # enumerate contraction vectors K <= min(J1, I2) coordinatewise
-    stack = [((), f.one)]
-    for i in range(n):
-        a, b = J1[i], I2[i]
-        nxt = []
-        for prefix, coef in stack:
-            for k in range(min(a, b) + 1):
-                w = f.mul(f.factorial(k), f.mul(f.binom(a, k), f.binom(b, k)))
-                if w == 0:
-                    continue
-                if k % 2:
-                    w = f.neg(w)
-                nxt.append((prefix + (k,), f.mul(coef, w)))
-        stack = nxt
-    for K, coef in stack:
+    # contraction vectors K <= min(J1, I2) coordinatewise
+    choices = [
+        [(k, (-1) ** k * factorial(k) * comb(a, k) * comb(b, k)) for k in range(min(a, b) + 1)]
+        for a, b in zip(J1, I2)
+    ]
+    for K, coef in contractions(f.characteristic, choices):
         m = 0 if ctx.is_weyl else m1 + m2 + sum(K)
-        I = tuple(I1[i] + I2[i] - K[i] for i in range(n))
-        J = tuple(J1[i] + J2[i] - K[i] for i in range(n))
+        I = tuple(map(sub, map(add, I1, I2), K))
+        J = tuple(map(sub, map(add, J1, J2), K))
         f.acc(out, (m, I, J), f.mul(c, coef))
 
 

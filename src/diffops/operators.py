@@ -20,12 +20,21 @@ bracket table
 with all partials mutually commuting and merging by
 d^[a] d^[b] = C(a+b, a) d^[a+b]; multiplication parts multiply through
 the PBW kernel.  Each rule is an exact identity of actions on the PBW
-basis, valid in every characteristic.
+basis, valid in every characteristic.  Iterated, the rules close to
+
+    dh^[s] h^m  = sum_j C(m,j) h^(m-j) dh^[s-j]
+    dx^[k] x^a  = sum_T C(a,T) x^(a-T) dx^[k-T]        (same for y)
+    dh^[s] y^b  = sum_t (-1)^t t! C(b,t) y^(b-t) dx^[t] dh^[s-t]
+
+so one push picks j, and per index T, k (by dy) and t (by dh) with
+j + |t| <= s; every weight is an integer, reduced mod p once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb, factorial, prod
+from operator import add, sub
 
 from .errors import (
     IncompatibleContextError,
@@ -34,7 +43,7 @@ from .errors import (
     ValidationError,
     ZeroOperatorError,
 )
-from .fields import Combination
+from .fields import Combination, contractions
 from .heisenberg import (
     MINUS_INF,
     AlgebraContext,
@@ -142,22 +151,14 @@ def op_apply(d: DOperator, a: HElement) -> HElement:
         raise IncompatibleContextError("operator and element contexts differ")
     ctx = d.ctx
     f = ctx.field
-    n = ctx.n
     out: dict = {}
     for (m, I, J, s, K, L), c in d.terms.items():
         for (em, eI, eJ), v in a.terms.items():
-            w = f.mul(c, f.mul(v, f.binom(em, s)))
-            for i in range(n):
-                if w == 0:
-                    break
-                w = f.mul(w, f.mul(f.binom(eI[i], K[i]), f.binom(eJ[i], L[i])))
+            w = comb(em, s) * prod(map(comb, eI, K)) * prod(map(comb, eJ, L))
+            w = f.mul(f.mul(c, v), w)
             if w == 0:
                 continue
-            shifted = (
-                em - s,
-                tuple(eI[i] - K[i] for i in range(n)),
-                tuple(eJ[i] - L[i] for i in range(n)),
-            )
+            shifted = (em - s, tuple(map(sub, eI, K)), tuple(map(sub, eJ, L)))
             _mul_mono(ctx, (m, I, J), shifted, w, out)
     return HElement(ctx, out)
 
@@ -166,71 +167,26 @@ def _push_partials(ctx, s, K, L, m2, I2, J2):
     """Normal-order dh^[s] dx^[K] dy^[L] o lambda_{h^m2 x^I2 y^J2}.
 
     Yields (coeff, lam_key, (s', K', L')) with the surviving multiplication
-    part lam_key a PBW subword of the input monomial.
+    part lam_key a PBW subword of the input monomial.  In closed form, dh
+    takes j factors of h^m2, and each index takes T factors of x^I2 for dx,
+    k factors of y^J2 for dy and t of the rest for dh, with j + |t| <= s.
     """
-    f = ctx.field
-    n = ctx.n
-    # stage 1: through the h block (only dh interacts)
-    stage1 = []
-    for j in range(min(s, m2) + 1):
-        w = f.binom(m2, j)
-        if w != 0:
-            stage1.append((w, m2 - j, s - j))
-    for w1, hm, s1 in stage1:
-        # stage 2: through the x block (only dx interacts)
-        stack = [((), w1)]
-        for i in range(n):
-            nxt = []
-            for prefix, coef in stack:
-                for t in range(min(K[i], I2[i]) + 1):
-                    w = f.mul(coef, f.binom(I2[i], t))
-                    if w != 0:
-                        nxt.append((prefix + (t,), w))
-            stack = nxt
-        for T, w2 in stack:
-            xI = tuple(I2[i] - T[i] for i in range(n))
-            K2r = tuple(K[i] - T[i] for i in range(n))
-            # stage 3: through the y block, one y power at a time;
-            # dh^[s] y_l = y_l dh^[s] - dx_l dh^[s-1] and dy^[k] y_l
-            # interact, dx passes through.
-            states = {( (0,) * n, s1, K2r, L): w2}
-            for l in range(n):
-                for _ in range(J2[l]):
-                    nxt_states: dict = {}
-                    for (yexp, cs, cK, cL), coef in states.items():
-                        # y_l survives to the multiplication part
-                        key = (
-                            tuple(yexp[i] + (1 if i == l else 0) for i in range(n)),
-                            cs,
-                            cK,
-                            cL,
-                        )
-                        f.acc(nxt_states, key, coef)
-                        # bracket of dh with y_l produces -dx_l dh^[s-1]
-                        if cs >= 1:
-                            w = f.neg(f.mul(coef, f.coerce(cK[l] + 1)))
-                            if w != 0:
-                                key = (
-                                    yexp,
-                                    cs - 1,
-                                    tuple(
-                                        cK[i] + (1 if i == l else 0) for i in range(n)
-                                    ),
-                                    cL,
-                                )
-                                f.acc(nxt_states, key, w)
-                        # bracket of dy_l with y_l lowers the dy order
-                        if cL[l] >= 1:
-                            key = (
-                                yexp,
-                                cs,
-                                cK,
-                                tuple(cL[i] - (1 if i == l else 0) for i in range(n)),
-                            )
-                            f.acc(nxt_states, key, coef)
-                    states = nxt_states
-            for (yexp, cs, cK, cL), coef in states.items():
-                yield coef, (hm, xI, yexp), (cs, cK, cL)
+    choices = [[(j, comb(m2, j)) for j in range(min(s, m2) + 1)]] + [
+        [
+            ((T, k, t), comb(a, T) * comb(b, k)
+             * (-1) ** t * factorial(t) * comb(b - k, t) * comb(kx - T + t, t))
+            for T in range(min(kx, a) + 1)
+            for k in range(min(ly, b) + 1)
+            for t in range(min(s, b - k) + 1)
+        ]
+        for kx, ly, a, b in zip(K, L, I2, J2)
+    ]
+    for (j, *picks), coef in contractions(ctx.field.characteristic, choices):
+        T, k, t = zip(*picks)
+        r = s - j - sum(t)
+        if r >= 0:
+            lam = (m2 - j, tuple(map(sub, I2, T)), tuple(map(sub, map(sub, J2, k), t)))
+            yield coef, lam, (r, tuple(map(add, map(sub, K, T), t)), tuple(map(sub, L, k)))
 
 
 def op_compose(d1: DOperator, d2: DOperator) -> DOperator:
@@ -238,7 +194,6 @@ def op_compose(d1: DOperator, d2: DOperator) -> DOperator:
     d1._check(d2)
     ctx = d1.ctx
     f = ctx.field
-    n = ctx.n
     out: dict = {}
     for (m1, I1, J1, s1, K1, L1), c1 in d1.terms.items():
         for (m2, I2, J2, s2, K2, L2), c2 in d2.terms.items():
@@ -246,21 +201,12 @@ def op_compose(d1: DOperator, d2: DOperator) -> DOperator:
             for coef, lam_key, (cs, cK, cL) in _push_partials(
                 ctx, s1, K1, L1, m2, I2, J2
             ):
-                w = f.mul(base, coef)
                 # merge the pushed partials with the partials of d2
-                w = f.mul(w, f.binom(cs + s2, s2))
-                for i in range(n):
-                    if w == 0:
-                        break
-                    w = f.mul(w, f.binom(cK[i] + K2[i], K2[i]))
-                    w = f.mul(w, f.binom(cL[i] + L2[i], L2[i]))
+                dkey = (cs + s2, tuple(map(add, cK, K2)), tuple(map(add, cL, L2)))
+                merge = comb(dkey[0], s2) * prod(map(comb, dkey[1], K2))
+                w = f.mul(f.mul(base, coef), merge * prod(map(comb, dkey[2], L2)))
                 if w == 0:
                     continue
-                dkey = (
-                    cs + s2,
-                    tuple(cK[i] + K2[i] for i in range(n)),
-                    tuple(cL[i] + L2[i] for i in range(n)),
-                )
                 lam_terms: dict = {}
                 _mul_mono(ctx, (m1, I1, J1), lam_key, w, lam_terms)
                 for lam, cc in lam_terms.items():
@@ -465,7 +411,7 @@ def inner_decompose(d: DOperator) -> list[tuple[HElement, HElement]]:
                 for _ in range(e):
                     pos, neg = tensor_mul(t, a_key, b_key, 1), tensor_mul(t, b_key, a_key, -1)
                     t = _tensor_add(f, pos, neg)
-            fact = f.mul(f.factorial(K[l]), f.factorial(L[l]))
+            fact = f.coerce(factorial(K[l]) * factorial(L[l]))
             if fact == 0:
                 raise UnsupportedCharacteristicError(
                     "divided power too large for the field characteristic"

@@ -266,7 +266,9 @@ class _Evaluator:
             if node.exponent < 0:
                 raise ValidationError("negative exponent")
             if node.exponent > MAX_EXPONENT:
-                raise MathError(f"exponent {node.exponent} above the cap of {MAX_EXPONENT}")
+                e = str(node.exponent)  # a long one is named by its length
+                e = e if len(e) <= 20 else f"of {len(e)} digits"
+                raise MathError(f"exponent {e} above the cap of {MAX_EXPONENT}")
             return self.power(self.eval(node.base), node.exponent)
         if isinstance(node, Sym):
             return self.symbol(node)

@@ -12,9 +12,11 @@ and characteristic p (where d^[p] is not a polynomial in d^[1]).
 from __future__ import annotations
 
 from itertools import combinations_with_replacement
+from math import comb, prod
+from operator import add, sub
 
 from .errors import IncompatibleContextError, ValidationError
-from .fields import Combination
+from .fields import Combination, contractions
 from .heisenberg import MINUS_INF
 from .polyring import Poly, PolyRing
 
@@ -83,11 +85,7 @@ def p_apply(d: PDOp, f: Poly) -> Poly:
     out: dict = {}
     for (beta, alpha), c in d.terms.items():
         for gamma, v in f.terms.items():
-            w = fld.mul(c, v)
-            for g, a in zip(gamma, alpha):
-                if w == 0:
-                    break
-                w = fld.mul(w, fld.binom(g, a))
+            w = fld.mul(fld.mul(c, v), prod(map(comb, gamma, alpha)))
             if w == 0:
                 continue
             fld.acc(out, tuple(g - a + b for g, a, b in zip(gamma, alpha, beta)), w)
@@ -103,30 +101,19 @@ def p_compose(d1: PDOp, d2: PDOp) -> PDOp:
     """
     d1._check(d2)
     fld = d1.ring.field
-    nv = d1.ring.nvars
     out: dict = {}
     for (b1, a1), c1 in d1.terms.items():
         for (b2, a2), c2 in d2.terms.items():
             base = fld.mul(c1, c2)
-            # push d^[a1] through t^b2, one variable at a time
-            stack = [((), base)]
-            for i in range(nv):
-                nxt = []
-                for prefix, coef in stack:
-                    for tau in range(min(a1[i], b2[i]) + 1):
-                        w = fld.mul(coef, fld.binom(b2[i], tau))
-                        if w == 0:
-                            continue
-                        # merge the surviving d^[a1-tau] with d^[a2]
-                        w = fld.mul(w, fld.binom(a1[i] - tau + a2[i], a2[i]))
-                        if w == 0:
-                            continue
-                        nxt.append((prefix + (tau,), w))
-                stack = nxt
-            for tau, coef in stack:
-                beta = tuple(b1[i] + b2[i] - tau[i] for i in range(nv))
-                alpha = tuple(a1[i] - tau[i] + a2[i] for i in range(nv))
-                fld.acc(out, (beta, alpha), coef)
+            # push d^[a1] through t^b2 and merge the rest with d^[a2], per variable
+            choices = [
+                [(tau, comb(e, tau) * comb(k - tau + k2, k2)) for tau in range(min(k, e) + 1)]
+                for k, e, k2 in zip(a1, b2, a2)
+            ]
+            for tau, coef in contractions(fld.characteristic, choices):
+                beta = tuple(map(sub, map(add, b1, b2), tau))
+                alpha = tuple(map(add, map(sub, a1, tau), a2))
+                fld.acc(out, (beta, alpha), fld.mul(base, coef))
     return PDOp(d1.ring, out)
 
 

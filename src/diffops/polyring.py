@@ -111,9 +111,10 @@ class Poly(Combination):
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         f = self.ring.field
+        p = f.characteristic
         de = max(other.terms)  # the leading term, in lex order on exponents
         dc_inv = f.inv(other.terms[de])
-        tail = [(e, f.neg(c)) for e, c in other.terms.items() if e != de]
+        tail = [(e, -c) for e, c in other.terms.items() if e != de]
         rem = dict(self.terms)
         quot: dict = {}
         while rem:
@@ -122,8 +123,14 @@ class Poly(Combination):
             if any(e < 0 for e in qe):
                 raise ArithmeticError("inexact polynomial division")
             qc = quot[qe] = f.mul(rem.pop(re), dc_inv)
-            for e, c in tail:
-                f.acc(rem, tuple(map(add, qe, e)), f.mul(qc, c))
+            for e, c in tail:  # f.acc inlined; a cancelled term leaves rem at once
+                e = tuple(map(add, qe, e))
+                v = rem.get(e, 0) + qc * c
+                v = v % p if p else v
+                if v:
+                    rem[e] = v
+                else:
+                    del rem[e]
         return Poly(self.ring, quot)
 
     def __repr__(self):

@@ -2,13 +2,14 @@
 
 The multiplication oracle rewrites words one adjacent swap at a time
 (y_i x_i -> x_i y_i - h), deliberately sharing no code with the library's
-closed-form product kernel.  The bracket oracle measures filtration
-membership by brute-force commutator chains.  The finite-dimensional
-filtration oracle follows the definition literally, with dense d x d
-matrix products and Gauss-Jordan elimination over all rows, and imports
-nothing from ``diffops.findim``.  The structure-constant check, the
-reference for the library's sparse validator, sums all d^5 products of
-its definition and shares no code with it.  The determinant oracle
+closed-form product kernel.  The action oracle takes its own binomials
+on PBW coordinates and multiplies by that rewriting.  The bracket oracle
+measures filtration membership by brute-force commutator chains.  The
+finite-dimensional filtration oracle follows the definition literally,
+with dense d x d matrix products and Gauss-Jordan elimination over all
+rows, and imports nothing from ``diffops.findim``.  The structure-constant
+check, the reference for the library's sparse validator, sums all d^5
+products of its definition and shares no code with it.  The determinant oracle
 expands along the first row over plain {exponent: coefficient} dicts and
 shares no code with the library's elimination.
 """
@@ -16,6 +17,7 @@ shares no code with the library's elimination.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
 
 from diffops import DOperator, FieldSpec, HElement, lambda_of, op_commutator
 from diffops.heisenberg import AlgebraContext
@@ -88,6 +90,28 @@ def naive_mul(a: HElement, b: HElement) -> HElement:
         else:
             out[key] = v
     return HElement(ctx, out)
+
+
+def naive_apply(d: DOperator, a: HElement) -> HElement:
+    """Action of d on a from the definition: each divided power d^[k] takes
+    t^e to C(e, k) t^(e-k) on its PBW coordinate, then the multiplication
+    part acts by naive_mul."""
+    ctx = a.ctx
+    f, n = ctx.field, ctx.n
+    out = HElement.zero(ctx)
+    for (m, I, J, s, K, L), c in d.terms.items():
+        for (em, eI, eJ), v in a.terms.items():
+            w = comb(em, s)
+            for e, k in zip(eI + eJ, K + L):
+                w *= comb(e, k)
+            w = f.mul(f.mul(c, v), f.coerce(w))
+            if w == 0:
+                continue
+            shifted = HElement.monomial(
+                ctx, em - s, [eI[i] - K[i] for i in range(n)], [eJ[i] - L[i] for i in range(n)], w
+            )
+            out = out + naive_mul(HElement.monomial(ctx, m, I, J), shifted)
+    return out
 
 
 # -- bracket-chain oracle -------------------------------------------------------

@@ -238,6 +238,13 @@ def test_huge_exponent_is_exit_two():
     assert time.perf_counter() - start < 5
 
 
+def test_longest_exponent_error_is_one_short_line():
+    rc, out, err = run_cli(["normalize", "x1^" + "9" * MAX_DIGITS])
+    assert (rc, out) == (2, "")
+    assert err == f"error: exponent of {MAX_DIGITS} digits above the cap of {MAX_EXPONENT}\n"
+    assert len(err) < 200
+
+
 @pytest.mark.parametrize("expr", ["x1^" + "9" * 5_000, "9" * 5_000], ids=["exponent", "number"])
 def test_too_long_literal_is_exit_one(expr):
     rc, out, err = run_cli(["normalize", expr])
