@@ -13,16 +13,24 @@ Symbols by context: elements use h, x<i>, y<i>; operators additionally
 dh, dx<i>, dy<i> (optionally with a divided-power order in brackets) and
 Dh for the reversed h-derivative; polynomial operators use the ring
 variables and d[var]^[k].  Division is by scalars only.
+
+A product of monomials already in normal order against each other (as in
+every printed normal form) folds into one key and an integer weight; only
+a pair that needs reordering (y1*x1, dx1*x1, dh*y1, d[t]*t) or a factor
+of more than one term goes through the composition kernel.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from math import comb, prod
+from operator import add
+from typing import NamedTuple
 
 from .errors import MathError, ParseError, ValidationError
-from .heisenberg import AlgebraContext, HElement, h as gen_h, x as gen_x, y as gen_y
-from .operators import DOperator, dh, dh_reversed, dx, dy, lambda_of, op_compose
+from .heisenberg import AlgebraContext, HElement
+from .operators import DOperator, dh_reversed, op_compose
 from .polydiff import PDOp, p_compose
 from .polyring import Poly, PolyRing
 
@@ -31,14 +39,17 @@ from .polyring import Poly, PolyRing
 MAX_NESTING = 200
 #: largest exponent after ^; each power is that many products
 MAX_EXPONENT = 10_000
+#: most monomial products (terms of the running product times terms of
+#: the base, summed over its steps) that one power may take
+MAX_POWER_PRODUCTS = 50_000
 #: longest number literal: Python's default cap on int/str conversion
 MAX_DIGITS = 4_300
 
-_TOKEN_RE = re.compile(r"(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^()\[\]])")
+_TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^()\[\]])|(\S)|\Z)")
+_TOKEN_KINDS = (None, "int", "name", "op", "bad")  # by the group that matched
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):  # one per token: a tuple builds faster than a frozen dataclass
     kind: str  # int | name | op | end
     text: str
     line: int
@@ -87,27 +98,24 @@ class BinOp:
 
 
 def tokenize(text: str) -> list[Token]:
+    """One scan of the text: each match takes the whitespace before a
+    token, then the token, the one character that starts none, or the end."""
     tokens = []
-    lines = text.split("\n")
-    for line_no, line in enumerate(lines, start=1):
-        pos = 0
-        while pos < len(line):
-            if line[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(line, pos)
-            if not m:
-                raise ParseError(f"unexpected character {line[pos]!r}", line_no, pos)
-            if m.group(1):
-                if len(m.group(1)) > MAX_DIGITS:
-                    raise ParseError(f"number longer than {MAX_DIGITS} digits", line_no, pos)
-                tokens.append(Token("int", m.group(1), line_no, pos))
-            elif m.group(2):
-                tokens.append(Token("name", m.group(2), line_no, pos))
-            else:
-                tokens.append(Token("op", m.group(3), line_no, pos))
-            pos = m.end()
-    tokens.append(Token("end", "", len(lines), len(lines[-1])))
+    line, start = 1, 0  # the current line's number and its offset in text
+    for m in _TOKEN_RE.finditer(text):
+        if m.lastindex is None:
+            break
+        pos = m.start(m.lastindex)
+        if pos > m.start() and (nl := text.rfind("\n", m.start(), pos)) >= 0:
+            line += text.count("\n", m.start(), pos)
+            start = nl + 1
+        kind, tok = _TOKEN_KINDS[m.lastindex], m.group(m.lastindex)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {tok!r}", line, pos - start)
+        if kind == "int" and len(tok) > MAX_DIGITS:
+            raise ParseError(f"number longer than {MAX_DIGITS} digits", line, pos - start)
+        tokens.append(Token(kind, tok, line, pos - start))
+    tokens.append(Token("end", "", text.count("\n") + 1, len(text) - text.rfind("\n") - 1))
     return tokens
 
 
@@ -243,10 +251,15 @@ _DGEN_RE = re.compile(r"^(d[xy])(\d+)$")
 
 
 class _Evaluator:
-    """Shared arithmetic over one value type; subclasses provide atoms.
+    """Shared arithmetic over one value type, on plain term dicts that
+    become a value once, at the end; subclasses provide atoms.
 
     ``kind`` builds a value from ``parent`` and a term dict, and ``unit``
-    is the key of the unit monomial, whose multiples are the scalars.
+    is the key of the unit monomial, whose multiples are the scalars.  A
+    product of two monomials already in normal order against each other
+    is ``concat`` of their keys, (key, integer weight), as the kernel's
+    rules give it when nothing has to be pushed; ``concat`` returns None
+    for any other pair, which ``multiply``, the value type's kernel, takes.
     """
 
     def __init__(self, kind, parent, unit):
@@ -254,14 +267,22 @@ class _Evaluator:
         self.parent = parent
         self.field = parent.field
         self.unit = unit
+        self.one = parent.field.one
 
     def eval(self, node):
+        return self.kind(self.parent, self.terms(node))
+
+    def terms(self, node) -> dict:
+        if isinstance(node, Sym):
+            return self.symbol(node)
         if isinstance(node, BinOp):
             return self.sum(node) if node.op in "+-" else self.product(node)
         if isinstance(node, Num):
-            return self.scalar_value(node.value)
+            c = self.field.coerce(node.value)
+            return {self.unit: c} if c else {}
         if isinstance(node, Neg):
-            return -self.eval(node.operand)
+            f = self.field
+            return {k: f.neg(c) for k, c in self.terms(node.operand).items()}
         if isinstance(node, Pow):
             if node.exponent < 0:
                 raise ValidationError("negative exponent")
@@ -269,9 +290,7 @@ class _Evaluator:
                 e = str(node.exponent)  # a long one is named by its length
                 e = e if len(e) <= 20 else f"of {len(e)} digits"
                 raise MathError(f"exponent {e} above the cap of {MAX_EXPONENT}")
-            return self.power(self.eval(node.base), node.exponent)
-        if isinstance(node, Sym):
-            return self.symbol(node)
+            return self.power(self.terms(node.base), node.exponent)
         if isinstance(node, Partial):
             return self.partial(node)
         raise AssertionError(f"unknown node {node!r}")
@@ -288,11 +307,11 @@ class _Evaluator:
             summands.append((node.op == "-", node.right))
             node = node.left
         f = self.field
-        out = dict(self.eval(node).terms)
+        out = dict(self.terms(node))
         for negate, right in reversed(summands):
-            for k, c in self.eval(right).terms.items():
+            for k, c in self.terms(right).items():
                 f.acc(out, k, f.neg(c) if negate else c)
-        return self.kind(self.parent, out)
+        return out
 
     def product(self, node):
         """Fold a chain of * and / in the written order, walking its
@@ -301,38 +320,58 @@ class _Evaluator:
         while isinstance(node, BinOp) and node.op in "*/":
             factors.append((node.op, node.right))
             node = node.left
-        out = self.eval(node)
+        out = self.terms(node)
         for op, right in reversed(factors):
-            r = self.eval(right)
-            out = self.multiply(out, r) if op == "*" else self.divide(out, r)
+            r = self.terms(right)
+            out = self.times(out, r) if op == "*" else self.divide(out, r)
         return out
 
-    def scalar_value(self, v):
-        return self.kind(self.parent, {self.unit: self.field.coerce(v)})
-
-    def as_scalar(self, a):
-        """The scalar c with a = c * 1, or None if a is not a scalar."""
-        if a.terms.keys() <= {self.unit}:
-            return a.terms.get(self.unit, self.field.zero)
-        return None
+    def times(self, a, b):
+        """a * b; two monomials in normal order make one key, anything
+        else but a zero goes through the kernel."""
+        if not (a and b):
+            return {}
+        if len(a) == 1 == len(b):
+            ((k1, c1),), ((k2, c2),) = a.items(), b.items()
+            kw = self.concat(k1, k2)
+            if kw is not None:
+                f, one = self.field, self.one  # most factors are symbols, with coefficient one
+                c = c2 if c1 is one else c1 if c2 is one else f.mul(c1, c2)
+                c = c if kw[1] == 1 else f.mul(c, kw[1])
+                return {kw[0]: c} if c else {}
+        return self.multiply(self.kind(self.parent, a), self.kind(self.parent, b)).terms
 
     def divide(self, left, right):
-        c = self.as_scalar(right)
-        if c is None or c == 0:
+        c = right.get(self.unit) if right.keys() <= {self.unit} else None
+        if not c:
             raise ValidationError("division is only defined by nonzero scalars")
-        return left.scale(self.field.inv(c))
+        f = self.field
+        c = f.inv(c)
+        return {k: f.mul(v, c) for k, v in left.items()}
+
+    def power(self, a, k):
+        """a^k as a product chain; a chain of monomials costs one product
+        a step, and the products of all steps together are capped."""
+        out, work = {self.unit: self.one}, 0
+        for _ in range(k):
+            work += len(out) * len(a)
+            if work > MAX_POWER_PRODUCTS:
+                raise MathError(f"power needs more than {MAX_POWER_PRODUCTS} monomial products")
+            out = self.times(out, a)
+        return out
 
     def multiply(self, a, b):
         return a * b
 
-    def power(self, a, k):
-        out = self.scalar_value(1)
-        for _ in range(k):
-            out = self.multiply(out, a)
-        return out
-
     def partial(self, node):
         raise ParseError("partial symbols are not valid here", node.line, node.column)
+
+    def index(self, node, idx):
+        if not 1 <= idx <= self.parent.n:
+            raise ParseError(
+                f"index {idx} out of range for rank {self.parent.n}", node.line, node.column
+            )
+        return tuple(int(i == idx) for i in range(1, self.parent.n + 1))
 
 
 class _ElementEvaluator(_Evaluator):
@@ -340,25 +379,27 @@ class _ElementEvaluator(_Evaluator):
         z = ctx.zero_index()
         super().__init__(HElement, ctx, (0, z, z))
 
+    @staticmethod
+    def concat(k1, k2):
+        (m1, I1, J1), (m2, I2, J2) = k1, k2
+        if any(map(min, J1, I2)):
+            return None  # y_i x_i: the contraction needs the kernel
+        return (m1 + m2, tuple(map(add, I1, I2)), tuple(map(add, J1, J2))), 1
+
     def symbol(self, node):
         name = node.name
         ctx = self.parent
+        z = self.unit[1]
         if node.order is not None:
             raise ParseError(
                 f"{name} does not take a bracket order here", node.line, node.column
             )
         if name == "h":
-            return gen_h(ctx)
+            return {(0 if ctx.is_weyl else 1, z, z): self.one}
         m = _GEN_RE.match(name)
         if m:
-            idx = int(m.group(2))
-            if not 1 <= idx <= ctx.n:
-                raise ParseError(
-                    f"index {idx} out of range for rank {ctx.n}",
-                    node.line,
-                    node.column,
-                )
-            return (gen_x if m.group(1) == "x" else gen_y)(ctx, idx)
+            e = self.index(node, int(m.group(2)))
+            return {(0, e, z) if m.group(1) == "x" else (0, z, e): self.one}
         raise ParseError(f"unknown symbol {name!r}", node.line, node.column)
 
 
@@ -371,37 +412,48 @@ class _OperatorEvaluator(_Evaluator):
     def multiply(self, a, b):
         return op_compose(a, b)
 
+    @staticmethod
+    def concat(k1, k2):
+        """Partials on the left take only partials on the right, merging by
+        d^[a] d^[b] = C(a+b, a) d^[a+b]; with none on the left the
+        multiplication parts join as elements do."""
+        m1, I1, J1, s1, K1, L1 = k1
+        m2, I2, J2, s2, K2, L2 = k2
+        if s1 or any(K1) or any(L1):
+            if m2 or any(I2) or any(J2):
+                return None
+            K, L = tuple(map(add, K1, K2)), tuple(map(add, L1, L2))
+            w = comb(s1 + s2, s1) * prod(map(comb, K, K1)) * prod(map(comb, L, L1))
+            return (m1, I1, J1, s1 + s2, K, L), w
+        if any(map(min, J1, I2)):
+            return None
+        return (m1 + m2, tuple(map(add, I1, I2)), tuple(map(add, J1, J2)), s2, K2, L2), 1
+
     def symbol(self, node):
         name = node.name
-        order = node.order
+        order = 1 if node.order is None else node.order
         ctx = self.parent
-        if name == "Dh":
-            if order is not None:
-                raise ParseError("Dh does not take a bracket order", node.line, node.column)
+        z = self.unit[1]
+        if name == "Dh" and node.order is not None:
+            raise ParseError("Dh does not take a bracket order", node.line, node.column)
+        if name in ("Dh", "dh"):
             if ctx.is_weyl:
-                raise ParseError("Dh is not available in Weyl mode", node.line, node.column)
-            return dh_reversed(ctx)
-        if name == "dh":
-            if ctx.is_weyl:
-                raise ParseError("dh is not available in Weyl mode", node.line, node.column)
-            return dh(ctx, order if order is not None else 1)
+                raise ParseError(f"{name} is not available in Weyl mode", node.line, node.column)
+            return dh_reversed(ctx).terms if name == "Dh" else {(0, z, z, order, z, z): self.one}
         m = _DGEN_RE.match(name)
         if m:
-            idx = int(m.group(2))
-            if not 1 <= idx <= ctx.n:
-                raise ParseError(
-                    f"index {idx} out of range for rank {ctx.n}",
-                    node.line,
-                    node.column,
-                )
-            builder = dx if m.group(1) == "dx" else dy
-            return builder(ctx, idx, order if order is not None else 1)
-        return lambda_of(self._elems.symbol(node))
+            e = tuple(order * i for i in self.index(node, int(m.group(2))))
+            return {(0, z, z, 0, e, z) if m.group(1) == "dx" else (0, z, z, 0, z, e): self.one}
+        return {k + (0, z, z): self.one for k in self._elems.symbol(node)}
 
 
 class _PolyEvaluator(_Evaluator):
     def __init__(self, ring: PolyRing):
         super().__init__(Poly, ring, (0,) * ring.nvars)
+
+    @staticmethod
+    def concat(k1, k2):
+        return tuple(map(add, k1, k2)), 1
 
     def symbol(self, node):
         if node.order is not None:
@@ -410,13 +462,15 @@ class _PolyEvaluator(_Evaluator):
                 node.line,
                 node.column,
             )
+        return {self.gen(node.name, node): self.one}
+
+    def gen(self, name, node):
+        """The exponent vector of one ring variable."""
         try:
-            i = self.parent.variables.index(node.name)
+            i = self.parent.variables.index(name)
         except ValueError:
-            raise ParseError(
-                f"unknown variable {node.name!r}", node.line, node.column
-            ) from None
-        return self.parent.gen(i)
+            raise ParseError(f"unknown variable {name!r}", node.line, node.column) from None
+        return tuple(int(j == i) for j in range(self.parent.nvars))
 
 
 class _PDOpEvaluator(_Evaluator):
@@ -428,17 +482,21 @@ class _PDOpEvaluator(_Evaluator):
     def multiply(self, a, b):
         return p_compose(a, b)
 
+    @staticmethod
+    def concat(k1, k2):
+        """t^b1 d^[a1] t^b2 d^[a2] is normal when no d[t_i] meets a t_i."""
+        (b1, a1), (b2, a2) = k1, k2
+        if any(map(min, a1, b2)):
+            return None
+        a = tuple(map(add, a1, a2))
+        return (tuple(map(add, b1, b2)), a), prod(map(comb, a, a1))
+
     def symbol(self, node):
-        return PDOp.mult(self._polys.symbol(node))
+        return {(b, self.unit[1]): self.one for b in self._polys.symbol(node)}
 
     def partial(self, node):
-        try:
-            i = self.parent.variables.index(node.var)
-        except ValueError:
-            raise ParseError(
-                f"unknown variable {node.var!r}", node.line, node.column
-            ) from None
-        return PDOp.partial(self.parent, i, node.order)
+        a = tuple(node.order * e for e in self._polys.gen(node.var, node))
+        return {(self.unit[1], a): self.one}
 
 
 def element_from_text(ctx: AlgebraContext, text: str) -> HElement:

@@ -2,7 +2,8 @@
 
 The multiplication oracle rewrites words one adjacent swap at a time
 (y_i x_i -> x_i y_i - h), deliberately sharing no code with the library's
-closed-form product kernel.  The action oracle takes its own binomials
+closed-form product kernel; within one product it remembers the integer
+expansion of each word it has rewritten.  The action oracle takes its own binomials
 on PBW coordinates and multiplies by that rewriting.  The bracket oracle
 measures filtration membership by brute-force commutator chains.  The
 finite-dimensional filtration oracle follows the definition literally,
@@ -34,19 +35,24 @@ def _gen_key(g):
     return (_ORDER[g[0]], g[1] if len(g) > 1 else 0)
 
 
-def _normalize_word(word, acc, coeff, field):
-    for pos in range(len(word) - 1):
-        g1, g2 = word[pos], word[pos + 1]
-        if _gen_key(g1) <= _gen_key(g2):
-            continue
-        swapped = word[:pos] + (g2, g1) + word[pos + 2 :]
-        _normalize_word(swapped, acc, coeff, field)
-        if g1[0] == "y" and g2[0] == "x" and g1[1] == g2[1]:
-            # y x = x y - h
-            reduced = word[:pos] + (("h",),) + word[pos + 2 :]
-            _normalize_word(reduced, acc, field.neg(coeff), field)
-        return
-    acc[word] = field.add(acc.get(word, field.zero), coeff)
+def _normalize_word(word, memo):
+    """{normal word: integer coefficient} of a word, by single swaps; memo
+    holds the words already normalized within one product."""
+    if word not in memo:
+        out = {word: 1}
+        for pos in range(len(word) - 1):
+            g1, g2 = word[pos], word[pos + 1]
+            if _gen_key(g1) <= _gen_key(g2):
+                continue
+            out = dict(_normalize_word(word[:pos] + (g2, g1) + word[pos + 2 :], memo))
+            if g1[0] == "y" and g2[0] == "x" and g1[1] == g2[1]:
+                # y x = x y - h
+                reduced = word[:pos] + (("h",),) + word[pos + 2 :]
+                for w, c in _normalize_word(reduced, memo).items():
+                    out[w] = out.get(w, 0) - c
+            break
+        memo[word] = out
+    return memo[word]
 
 
 def _word_of_key(key):
@@ -76,9 +82,11 @@ def naive_mul(a: HElement, b: HElement) -> HElement:
     ctx = a.ctx
     f = ctx.field
     acc: dict = {}
+    memo: dict = {}
     for k1, c1 in a.terms.items():
         for k2, c2 in b.terms.items():
-            _normalize_word(_word_of_key(k1) + _word_of_key(k2), acc, f.mul(c1, c2), f)
+            for word, w in _normalize_word(_word_of_key(k1) + _word_of_key(k2), memo).items():
+                acc[word] = f.add(acc.get(word, f.zero), f.mul(f.mul(c1, c2), w))
     out: dict = {}
     for word, c in acc.items():
         if c == 0:

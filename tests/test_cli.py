@@ -10,7 +10,7 @@ import time
 import pytest
 
 from diffops.cli import main
-from diffops.parsing import MAX_DIGITS, MAX_EXPONENT
+from diffops.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_POWER_PRODUCTS
 
 from cli_cases import CASES, FIXTURES, expand
 
@@ -236,6 +236,20 @@ def test_huge_exponent_is_exit_two():
         assert (rc, out) == (2, "")
         assert err == f"error: exponent {k} above the cap of {MAX_EXPONENT}\n"
     assert time.perf_counter() - start < 5
+
+
+def test_power_of_a_sum_is_capped():
+    # the term count of (x1+y1)^k grows with k, and without a cap this ran for minutes
+    start = time.perf_counter()
+    rc, out, err = run_cli(["normalize", "(x1+y1)^400"])
+    assert (rc, out) == (2, "")
+    assert err == f"error: power needs more than {MAX_POWER_PRODUCTS} monomial products\n"
+    assert time.perf_counter() - start < 5
+    assert run_cli(["normalize", f"(2*x1*y1^2)^{MAX_EXPONENT}"])[0] == 2
+    # a power of a monomial in normal order is one product a step
+    k = MAX_EXPONENT
+    rc, out, _ = run_cli(["normalize", f"(x1^2*h*y2)^{k}", "--n", "2"])
+    assert (rc, out) == (0, f"h^{k}*x1^{2 * k}*y2^{k}\n")
 
 
 def test_longest_exponent_error_is_one_short_line():

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from diffops import AlgebraContext, DOperator, FieldSpec, HElement, PolyRing, commutator, h, x, y
+from diffops import heisenberg, operators, parsing, polydiff
 from diffops.errors import ParseError
 from diffops.parsing import (
     BinOp,
@@ -180,6 +181,36 @@ def test_long_product_chains():
     assert format_element(element_from_text(ctx, "*".join(["x1"] * 1200))) == "x1^1200"
     ops = "*".join(["x1"] * 1199 + ["dx1"]) + "/2"
     assert operator_from_text(ctx, ops) == operator_from_text(ctx, "1/2*x1^1199*dx1")
+
+
+@pytest.mark.parametrize("char", [0, 2, 5])
+@pytest.mark.parametrize("mode", ["heisenberg", "weyl"])
+def test_normal_forms_read_without_the_kernels(char, mode, monkeypatch):
+    # a printed normal form is a sum of products in normal order, so reading
+    # it folds each product into one key and never composes
+    def kernel(*args):
+        raise AssertionError("a composition kernel ran")
+
+    for module, name in [
+        (parsing, "op_compose"), (parsing, "p_compose"), (operators, "_push_partials"),
+        (operators, "_mul_mono"), (heisenberg, "_mul_mono"), (polydiff, "contractions"),
+    ]:
+        monkeypatch.setattr(module, name, kernel)
+    ctx = AlgebraContext(2, FieldSpec(char), mode)
+    ring = PolyRing(("t", "u"), FieldSpec(char))
+    rng = random.Random(char + len(mode))
+    for _ in range(30):
+        a = random_element(rng, ctx, max_exp=4, terms=6)
+        assert element_from_text(ctx, format_element(a)) == a
+        d = random_operator(rng, ctx, max_exp=4, max_h=3, terms=6)
+        assert operator_from_text(ctx, format_operator(d)) == d
+        e = random_pdop(rng, ring, max_exp=4, terms=6)
+        assert pdop_from_text(ring, format_pdop(e)) == e
+        assert operator_from_text(ctx, "x2*3*dx1^3*dy1*dy1[2]") == operator_from_text(
+            ctx, "54*x2*dx1[3]*dy1[3]"
+        )
+    with pytest.raises(AssertionError, match="kernel"):
+        operator_from_text(ctx, "dx1*x1")
 
 
 def test_pdop_text_examples():
