@@ -2,12 +2,14 @@
 
 Subpackage map:
 
-- ``heisenberg``: PBW normal-form arithmetic in H_n / A_n.
-- ``operators``: the operator algebra D(H_n) (apply, compose, brackets,
-  filtration degree, scalar reduction, Weyl inner decomposition).
+- ``heisenberg``: PBW normal-form arithmetic in H_n / A_n (``_mul_mono``).
+- ``operators``: the operator algebra D(H_n) (apply, compose by the pair
+  kernel ``_compose_mono``, brackets, filtration degree, scalar reduction,
+  Weyl inner decomposition).
 - ``polyring`` / ``polydiff``: exact polynomials and divided-power
   differential operators on commutative polynomial rings.
-- ``fields``: exact scalars, the linear-combination core, and
+- ``fields``: exact scalars, ``bilinear`` (the one loop over term pairs of
+  the products) and ``contractions``, the linear-combination core, and
   ``StructureAlgebra``, the one structure-constant algebra over a field
   or a polynomial ring (checks, products, multiplication matrices,
   builder tables, the record reader).

@@ -6,7 +6,10 @@ Scalars are plain values: ``fractions.Fraction`` in characteristic 0 and
 characteristic and provides coercion and arithmetic helpers; its ``mul``
 also takes a plain ``int`` weight.  Every divided-power weight of the
 operator calculus is such an integer, and ``contractions`` enumerates
-their per-coordinate choices.  No floating point anywhere.
+their per-coordinate choices, at most MAX_PICKS of them per product.
+``bilinear`` is the one loop over term pairs of the products: a pair
+kernel on raw keys (``heisenberg._mul_mono``, ``operators._compose_mono``
+and the like) normal-orders each pair.  No floating point anywhere.
 Combination is the one linear-combination core of the value types, and
 StructureAlgebra the one structure-constant algebra, over a FieldSpec
 (findim.FinAlgebra) or a PolyRing (azumaya.CenteredFreeAlgebra).
@@ -16,9 +19,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 
 from .errors import IncompatibleContextError, MathError
 from .errors import UnsupportedCharacteristicError, ValidationError
+
+#: most picks (the product of the per-coordinate option counts) that one
+#: monomial product may enumerate
+MAX_PICKS = 100_000
 
 
 def _is_prime(p: int) -> bool:
@@ -84,8 +92,9 @@ class FieldSpec:
         return c % self.characteristic if self.characteristic else c
 
     def acc(self, out: dict, key, c):
-        """Add c into out[key]; the key is dropped when the sum is zero."""
-        v = self.add(out.get(key, 0), c)
+        """Add c (reduced) into out[key]; the key is dropped when the sum is zero."""
+        v = out.get(key)
+        v = c if v is None else self.add(v, c)
         if v:
             out[key] = v
         else:
@@ -118,16 +127,34 @@ class FieldSpec:
 def contractions(p: int, choices) -> list:
     """Every pick of one (pick, weight) option per coordinate, with its weight.
 
-    ``choices`` lists the options of each coordinate; weights are integers.
-    Returns (picks, product of weights) pairs; an option whose weight is 0
-    mod p is dropped, and in characteristic p the products are reduced mod p.
+    ``choices`` gives the options of each coordinate, each an iterable that
+    holds the zero pick; weights are integers.  Returns (picks, product of
+    weights) pairs; an option whose weight is 0 mod p is dropped, and in
+    characteristic p the products are reduced mod p.  More than MAX_PICKS
+    picks raise MathError before any is formed, with at most as many options read.
     """
-    out = [((), 1)]
+    lists, picks = [], 1
     for options in choices:
+        lists.append(list(islice(options, MAX_PICKS // picks + 1)))
+        picks *= len(lists[-1])
+        if picks > MAX_PICKS:
+            raise MathError(f"monomial product needs more than {MAX_PICKS} contraction picks")
+    out = [((), 1)]
+    for options in lists:
         if p:  # c is a unit mod p, so c * w is 0 mod p only when w is
             out = [(ks + (k,), c * w % p) for ks, c in out for k, w in options if w % p]
         else:
             out = [(ks + (k,), c * w) for ks, c in out for k, w in options]
+    return out
+
+
+def bilinear(parent, mono, a: dict, b: dict) -> dict:
+    """The product of two term dicts, normal-ordered pair by pair:
+    mono(parent, key1, key2, c, out) accumulates c * (key1 * key2) into out."""
+    mul, out = parent.field.mul, {}
+    for k1, c1 in a.items():
+        for k2, c2 in b.items():
+            mono(parent, k1, k2, mul(c1, c2), out)
     return out
 
 

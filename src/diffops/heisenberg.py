@@ -25,7 +25,7 @@ from .errors import (
     UnsupportedModeError,
     ValidationError,
 )
-from .fields import Combination, FieldSpec, contractions
+from .fields import Combination, FieldSpec, bilinear, contractions
 from .polyring import Poly, PolyRing
 
 MODE_HEISENBERG = "heisenberg"
@@ -102,12 +102,7 @@ class HElement(Combination):
         if not isinstance(other, HElement):
             return self.scale(other)
         self._check(other)
-        f = self.ctx.field
-        out: dict = {}
-        for k1, c1 in self.terms.items():
-            for k2, c2 in other.terms.items():
-                _mul_mono(self.ctx, k1, k2, f.mul(c1, c2), out)
-        return HElement(self.ctx, out)
+        return HElement(self.ctx, bilinear(self.ctx, _mul_mono, self.terms, other.terms))
 
     def __pow__(self, k: int):
         if k < 0:
@@ -128,6 +123,9 @@ def _mul_mono(ctx, key1, key2, c, out):
     f = ctx.field
     m1, I1, J1 = key1
     m2, I2, J2 = key2
+    if not any(map(min, J1, I2)):  # nothing to contract (m1 = m2 = 0 in Weyl mode)
+        f.acc(out, (m1 + m2, tuple(map(add, I1, I2)), tuple(map(add, J1, J2))), c)
+        return
     # contraction vectors K <= min(J1, I2) coordinatewise
     choices = [
         [(k, (-1) ** k * factorial(k) * comb(a, k) * comb(b, k)) for k in range(min(a, b) + 1)]

@@ -27,7 +27,9 @@ basis, valid in every characteristic.  Iterated, the rules close to
     dh^[s] y^b  = sum_t (-1)^t t! C(b,t) y^(b-t) dx^[t] dh^[s-t]
 
 so one push picks j, and per index T, k (by dy) and t (by dh) with
-j + |t| <= s; every weight is an integer, reduced mod p once.
+j + |t| <= s; every weight is an integer, reduced mod p once.  The pair
+kernel _compose_mono composes two monomials so, and fields.bilinear runs it
+over the term pairs of op_compose (and _apply_mono over those of op_apply).
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .errors import (
     ValidationError,
     ZeroOperatorError,
 )
-from .fields import Combination, contractions
+from .fields import Combination, bilinear, contractions
 from .heisenberg import (
     MINUS_INF,
     AlgebraContext,
@@ -149,18 +151,16 @@ def op_apply(d: DOperator, a: HElement) -> HElement:
     """Act on an element: partials on PBW coordinates, then left multiplication."""
     if d.ctx != a.ctx:
         raise IncompatibleContextError("operator and element contexts differ")
-    ctx = d.ctx
-    f = ctx.field
-    out: dict = {}
-    for (m, I, J, s, K, L), c in d.terms.items():
-        for (em, eI, eJ), v in a.terms.items():
-            w = comb(em, s) * prod(map(comb, eI, K)) * prod(map(comb, eJ, L))
-            w = f.mul(f.mul(c, v), w)
-            if w == 0:
-                continue
-            shifted = (em - s, tuple(map(sub, eI, K)), tuple(map(sub, eJ, L)))
-            _mul_mono(ctx, (m, I, J), shifted, w, out)
-    return HElement(ctx, out)
+    return HElement(d.ctx, bilinear(d.ctx, _apply_mono, d.terms, a.terms))
+
+
+def _apply_mono(ctx, dkey, ekey, c, out):
+    """Accumulate c * (dkey applied to ekey) into out."""
+    (m, I, J, s, K, L), (em, eI, eJ) = dkey, ekey
+    w = ctx.field.mul(c, comb(em, s) * prod(map(comb, eI, K)) * prod(map(comb, eJ, L)))
+    if w:
+        shifted = (em - s, tuple(map(sub, eI, K)), tuple(map(sub, eJ, L)))
+        _mul_mono(ctx, (m, I, J), shifted, w, out)
 
 
 def _push_partials(ctx, s, K, L, m2, I2, J2):
@@ -170,17 +170,13 @@ def _push_partials(ctx, s, K, L, m2, I2, J2):
     part lam_key a PBW subword of the input monomial.  In closed form, dh
     takes j factors of h^m2, and each index takes T factors of x^I2 for dx,
     k factors of y^J2 for dy and t of the rest for dh, with j + |t| <= s.
+    When no partial meets a factor it acts on, the one pick is j = T = k = t = 0.
     """
-    choices = [[(j, comb(m2, j)) for j in range(min(s, m2) + 1)]] + [
-        [
-            ((T, k, t), comb(a, T) * comb(b, k)
-             * (-1) ** t * factorial(t) * comb(b - k, t) * comb(kx - T + t, t))
-            for T in range(min(kx, a) + 1)
-            for k in range(min(ly, b) + 1)
-            for t in range(min(s, b - k) + 1)
-        ]
-        for kx, ly, a, b in zip(K, L, I2, J2)
-    ]
+    if not (min(s, m2) or any(map(min, K, I2)) or any(map(min, L, J2)) or s and any(J2)):
+        yield 1, (m2, I2, J2), (s, K, L)
+        return
+    choices = [[(j, comb(m2, j)) for j in range(min(s, m2) + 1)]]
+    choices += [_index_options(s, *e) for e in zip(K, L, I2, J2)]
     for (j, *picks), coef in contractions(ctx.field.characteristic, choices):
         T, k, t = zip(*picks)
         r = s - j - sum(t)
@@ -189,29 +185,37 @@ def _push_partials(ctx, s, K, L, m2, I2, J2):
             yield coef, lam, (r, tuple(map(add, map(sub, K, T), t)), tuple(map(sub, L, k)))
 
 
+def _index_options(s, kx, ly, a, b):
+    """The (T, k, t) options of one index of a push, generated so that
+    contractions refuses a huge one before it is built."""
+    for T in range(min(kx, a) + 1):
+        for k in range(min(ly, b) + 1):
+            for t in range(min(s, b - k) + 1):
+                w = comb(a, T) * comb(b, k) * comb(kx - T + t, t)
+                yield (T, k, t), w * (-1) ** t * factorial(t) * comb(b - k, t)
+
+
 def op_compose(d1: DOperator, d2: DOperator) -> DOperator:
     """Normal-ordered composition d1 o d2."""
     d1._check(d2)
-    ctx = d1.ctx
+    return DOperator(d1.ctx, bilinear(d1.ctx, _compose_mono, d1.terms, d2.terms))
+
+
+def _compose_mono(ctx, key1, key2, c, out):
+    """Accumulate the normal form of c * (key1 o key2) into out."""
     f = ctx.field
-    out: dict = {}
-    for (m1, I1, J1, s1, K1, L1), c1 in d1.terms.items():
-        for (m2, I2, J2, s2, K2, L2), c2 in d2.terms.items():
-            base = f.mul(c1, c2)
-            for coef, lam_key, (cs, cK, cL) in _push_partials(
-                ctx, s1, K1, L1, m2, I2, J2
-            ):
-                # merge the pushed partials with the partials of d2
-                dkey = (cs + s2, tuple(map(add, cK, K2)), tuple(map(add, cL, L2)))
-                merge = comb(dkey[0], s2) * prod(map(comb, dkey[1], K2))
-                w = f.mul(f.mul(base, coef), merge * prod(map(comb, dkey[2], L2)))
-                if w == 0:
-                    continue
-                lam_terms: dict = {}
-                _mul_mono(ctx, (m1, I1, J1), lam_key, w, lam_terms)
-                for lam, cc in lam_terms.items():
-                    f.acc(out, lam + dkey, cc)
-    return DOperator(ctx, out)
+    m1, I1, J1, s1, K1, L1 = key1
+    m2, I2, J2, s2, K2, L2 = key2
+    for coef, lam_key, (cs, cK, cL) in _push_partials(ctx, s1, K1, L1, m2, I2, J2):
+        # merge the pushed partials with the partials of key2
+        dkey = (cs + s2, tuple(map(add, cK, K2)), tuple(map(add, cL, L2)))
+        w = coef * comb(dkey[0], s2) * prod(map(comb, dkey[1], K2)) * prod(map(comb, dkey[2], L2))
+        w = c if w == 1 else f.mul(c, w)
+        if w:
+            lam_terms: dict = {}
+            _mul_mono(ctx, (m1, I1, J1), lam_key, w, lam_terms)
+            for lam, cc in lam_terms.items():
+                f.acc(out, lam + dkey, cc)
 
 
 def op_commutator(d1: DOperator, d2: DOperator) -> DOperator:

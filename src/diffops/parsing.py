@@ -14,24 +14,24 @@ dh, dx<i>, dy<i> (optionally with a divided-power order in brackets) and
 Dh for the reversed h-derivative; polynomial operators use the ring
 variables and d[var]^[k].  Division is by scalars only.
 
-A product of monomials already in normal order against each other (as in
-every printed normal form) folds into one key and an integer weight; only
-a pair that needs reordering (y1*x1, dx1*x1, dh*y1, d[t]*t) or a factor
-of more than one term goes through the composition kernel.
+Evaluation works on plain term dicts and multiplies them with the value
+type's own pair kernel (fields.bilinear), so each normal-order rule has one
+owner.  A product of monomials already in normal order against each other
+(as in every printed normal form) takes the kernels' shortcut: one key and
+an integer weight, with no contraction enumerated.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from math import comb, prod
 from operator import add
 from typing import NamedTuple
 
 from .errors import MathError, ParseError, ValidationError
-from .heisenberg import AlgebraContext, HElement
-from .operators import DOperator, dh_reversed, op_compose
-from .polydiff import PDOp, p_compose
+from .fields import bilinear
+from .heisenberg import AlgebraContext, HElement, _mul_mono
+from .operators import DOperator, _compose_mono, dh_reversed
+from .polydiff import PDOp, _p_compose_mono
 from .polyring import Poly, PolyRing
 
 #: deepest nesting of parentheses and unary minuses; the parser recurses
@@ -49,49 +49,43 @@ _TOKEN_RE = re.compile(r"\s*(?:(\d+)|([A-Za-z][A-Za-z0-9]*)|([+\-*/^()\[\]])|(\S
 _TOKEN_KINDS = (None, "int", "name", "op", "bad")  # by the group that matched
 
 
-class Token(NamedTuple):  # one per token: a tuple builds faster than a frozen dataclass
+class Token(NamedTuple):
     kind: str  # int | name | op | end
     text: str
     line: int
     column: int
 
 
-@dataclass(frozen=True)
-class Num:
+class Num(NamedTuple):
     value: int
     line: int
     column: int
 
 
-@dataclass(frozen=True)
-class Sym:
+class Sym(NamedTuple):
     name: str
     order: int | None  # bracketed divided-power order, if any
     line: int
     column: int
 
 
-@dataclass(frozen=True)
-class Partial:
+class Partial(NamedTuple):
     var: str
     order: int
     line: int
     column: int
 
 
-@dataclass(frozen=True)
-class Neg:
+class Neg(NamedTuple):
     operand: object
 
 
-@dataclass(frozen=True)
-class Pow:
+class Pow(NamedTuple):
     base: object
     exponent: int
 
 
-@dataclass(frozen=True)
-class BinOp:
+class BinOp(NamedTuple):
     op: str  # + - * /
     left: object
     right: object
@@ -254,20 +248,15 @@ class _Evaluator:
     """Shared arithmetic over one value type, on plain term dicts that
     become a value once, at the end; subclasses provide atoms.
 
-    ``kind`` builds a value from ``parent`` and a term dict, and ``unit``
-    is the key of the unit monomial, whose multiples are the scalars.  A
-    product of two monomials already in normal order against each other
-    is ``concat`` of their keys, (key, integer weight), as the kernel's
-    rules give it when nothing has to be pushed; ``concat`` returns None
-    for any other pair, which ``multiply``, the value type's kernel, takes.
+    ``kind`` builds a value from ``parent`` and a term dict, ``unit`` is
+    the key of the unit monomial, whose multiples are the scalars, and
+    ``mono`` is the value type's pair kernel, which products hand to
+    fields.bilinear.
     """
 
-    def __init__(self, kind, parent, unit):
-        self.kind = kind
-        self.parent = parent
-        self.field = parent.field
-        self.unit = unit
-        self.one = parent.field.one
+    def __init__(self, kind, parent, unit, mono):
+        self.kind, self.parent, self.unit, self.mono = kind, parent, unit, mono
+        self.field, self.one = parent.field, parent.field.one
 
     def eval(self, node):
         return self.kind(self.parent, self.terms(node))
@@ -284,8 +273,6 @@ class _Evaluator:
             f = self.field
             return {k: f.neg(c) for k, c in self.terms(node.operand).items()}
         if isinstance(node, Pow):
-            if node.exponent < 0:
-                raise ValidationError("negative exponent")
             if node.exponent > MAX_EXPONENT:
                 e = str(node.exponent)  # a long one is named by its length
                 e = e if len(e) <= 20 else f"of {len(e)} digits"
@@ -323,23 +310,8 @@ class _Evaluator:
         out = self.terms(node)
         for op, right in reversed(factors):
             r = self.terms(right)
-            out = self.times(out, r) if op == "*" else self.divide(out, r)
+            out = bilinear(self.parent, self.mono, out, r) if op == "*" else self.divide(out, r)
         return out
-
-    def times(self, a, b):
-        """a * b; two monomials in normal order make one key, anything
-        else but a zero goes through the kernel."""
-        if not (a and b):
-            return {}
-        if len(a) == 1 == len(b):
-            ((k1, c1),), ((k2, c2),) = a.items(), b.items()
-            kw = self.concat(k1, k2)
-            if kw is not None:
-                f, one = self.field, self.one  # most factors are symbols, with coefficient one
-                c = c2 if c1 is one else c1 if c2 is one else f.mul(c1, c2)
-                c = c if kw[1] == 1 else f.mul(c, kw[1])
-                return {kw[0]: c} if c else {}
-        return self.multiply(self.kind(self.parent, a), self.kind(self.parent, b)).terms
 
     def divide(self, left, right):
         c = right.get(self.unit) if right.keys() <= {self.unit} else None
@@ -357,11 +329,8 @@ class _Evaluator:
             work += len(out) * len(a)
             if work > MAX_POWER_PRODUCTS:
                 raise MathError(f"power needs more than {MAX_POWER_PRODUCTS} monomial products")
-            out = self.times(out, a)
+            out = bilinear(self.parent, self.mono, out, a)
         return out
-
-    def multiply(self, a, b):
-        return a * b
 
     def partial(self, node):
         raise ParseError("partial symbols are not valid here", node.line, node.column)
@@ -377,14 +346,7 @@ class _Evaluator:
 class _ElementEvaluator(_Evaluator):
     def __init__(self, ctx: AlgebraContext):
         z = ctx.zero_index()
-        super().__init__(HElement, ctx, (0, z, z))
-
-    @staticmethod
-    def concat(k1, k2):
-        (m1, I1, J1), (m2, I2, J2) = k1, k2
-        if any(map(min, J1, I2)):
-            return None  # y_i x_i: the contraction needs the kernel
-        return (m1 + m2, tuple(map(add, I1, I2)), tuple(map(add, J1, J2))), 1
+        super().__init__(HElement, ctx, (0, z, z), _mul_mono)
 
     def symbol(self, node):
         name = node.name
@@ -406,28 +368,8 @@ class _ElementEvaluator(_Evaluator):
 class _OperatorEvaluator(_Evaluator):
     def __init__(self, ctx: AlgebraContext):
         z = ctx.zero_index()
-        super().__init__(DOperator, ctx, (0, z, z, 0, z, z))
+        super().__init__(DOperator, ctx, (0, z, z, 0, z, z), _compose_mono)
         self._elems = _ElementEvaluator(ctx)
-
-    def multiply(self, a, b):
-        return op_compose(a, b)
-
-    @staticmethod
-    def concat(k1, k2):
-        """Partials on the left take only partials on the right, merging by
-        d^[a] d^[b] = C(a+b, a) d^[a+b]; with none on the left the
-        multiplication parts join as elements do."""
-        m1, I1, J1, s1, K1, L1 = k1
-        m2, I2, J2, s2, K2, L2 = k2
-        if s1 or any(K1) or any(L1):
-            if m2 or any(I2) or any(J2):
-                return None
-            K, L = tuple(map(add, K1, K2)), tuple(map(add, L1, L2))
-            w = comb(s1 + s2, s1) * prod(map(comb, K, K1)) * prod(map(comb, L, L1))
-            return (m1, I1, J1, s1 + s2, K, L), w
-        if any(map(min, J1, I2)):
-            return None
-        return (m1 + m2, tuple(map(add, I1, I2)), tuple(map(add, J1, J2)), s2, K2, L2), 1
 
     def symbol(self, node):
         name = node.name
@@ -447,13 +389,13 @@ class _OperatorEvaluator(_Evaluator):
         return {k + (0, z, z): self.one for k in self._elems.symbol(node)}
 
 
+def _poly_mono(ring, k1, k2, c, out):
+    ring.field.acc(out, tuple(map(add, k1, k2)), c)
+
+
 class _PolyEvaluator(_Evaluator):
     def __init__(self, ring: PolyRing):
-        super().__init__(Poly, ring, (0,) * ring.nvars)
-
-    @staticmethod
-    def concat(k1, k2):
-        return tuple(map(add, k1, k2)), 1
+        super().__init__(Poly, ring, (0,) * ring.nvars, _poly_mono)
 
     def symbol(self, node):
         if node.order is not None:
@@ -476,20 +418,8 @@ class _PolyEvaluator(_Evaluator):
 class _PDOpEvaluator(_Evaluator):
     def __init__(self, ring: PolyRing):
         z = (0,) * ring.nvars
-        super().__init__(PDOp, ring, (z, z))
+        super().__init__(PDOp, ring, (z, z), _p_compose_mono)
         self._polys = _PolyEvaluator(ring)
-
-    def multiply(self, a, b):
-        return p_compose(a, b)
-
-    @staticmethod
-    def concat(k1, k2):
-        """t^b1 d^[a1] t^b2 d^[a2] is normal when no d[t_i] meets a t_i."""
-        (b1, a1), (b2, a2) = k1, k2
-        if any(map(min, a1, b2)):
-            return None
-        a = tuple(map(add, a1, a2))
-        return (tuple(map(add, b1, b2)), a), prod(map(comb, a, a1))
 
     def symbol(self, node):
         return {(b, self.unit[1]): self.one for b in self._polys.symbol(node)}
@@ -517,18 +447,8 @@ def poly_from_text(ring: PolyRing, text: str) -> Poly:
 
 def infer_ring_variables(text: str) -> tuple[str, ...]:
     """Variable names appearing in a polynomial-operator expression, sorted."""
-    names = set()
-    stack = [parse(text)]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sym):
-            names.add(node.name)
-        elif isinstance(node, Partial):
-            names.add(node.var)
-        elif isinstance(node, Neg):
-            stack.append(node.operand)
-        elif isinstance(node, Pow):
-            stack.append(node.base)
-        elif isinstance(node, BinOp):
-            stack += (node.left, node.right)
+    parser = _Parser(text)
+    parser.parse()  # syntax errors come first
+    toks = parser.tokens  # every name but the d of each d[t]
+    names = {a.text for a, b in zip(toks, toks[1:]) if a.kind == "name" and a.text + b.text != "d["}
     return tuple(sorted(names))

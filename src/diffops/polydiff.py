@@ -16,7 +16,7 @@ from math import comb, prod
 from operator import add, sub
 
 from .errors import IncompatibleContextError, ValidationError
-from .fields import Combination, contractions
+from .fields import Combination, bilinear, contractions
 from .heisenberg import MINUS_INF
 from .polyring import Poly, PolyRing
 
@@ -81,40 +81,47 @@ def p_apply(d: PDOp, f: Poly) -> Poly:
     """Action of the operator on a polynomial, exactly."""
     if d.ring != f.ring:
         raise IncompatibleContextError("operator and polynomial rings differ")
-    fld = d.ring.field
-    out: dict = {}
-    for (beta, alpha), c in d.terms.items():
-        for gamma, v in f.terms.items():
-            w = fld.mul(fld.mul(c, v), prod(map(comb, gamma, alpha)))
-            if w == 0:
-                continue
-            fld.acc(out, tuple(g - a + b for g, a, b in zip(gamma, alpha, beta)), w)
-    return Poly(d.ring, out)
+    return Poly(d.ring, bilinear(d.ring, _p_apply_mono, d.terms, f.terms))
+
+
+def _p_apply_mono(ring, dkey, gamma, c, out):
+    """Accumulate c * (dkey applied to t^gamma) into out."""
+    beta, alpha = dkey
+    w = ring.field.mul(c, prod(map(comb, gamma, alpha)))
+    if w:
+        ring.field.acc(out, tuple(g - a + b for g, a, b in zip(gamma, alpha, beta)), w)
 
 
 def p_compose(d1: PDOp, d2: PDOp) -> PDOp:
-    """Normal-ordered composition d1 o d2.
+    """Normal-ordered composition d1 o d2."""
+    d1._check(d2)
+    return PDOp(d1.ring, bilinear(d1.ring, _p_compose_mono, d1.terms, d2.terms))
+
+
+def _p_compose_mono(ring, key1, key2, c, out):
+    """Accumulate the normal form of c * (key1 o key2) into out.
 
     Uses the divided-power Leibniz rule per variable,
     d^[a] t^b = sum_tau C(b,tau) t^(b-tau) d^[a-tau], and the merge
-    d^[a] d^[b] = C(a+b, a) d^[a+b].
+    d^[a] d^[b] = C(a+b, a) d^[a+b]; with no d^[a1] meeting its t^b2,
+    the only term is tau = 0.
     """
-    d1._check(d2)
-    fld = d1.ring.field
-    out: dict = {}
-    for (b1, a1), c1 in d1.terms.items():
-        for (b2, a2), c2 in d2.terms.items():
-            base = fld.mul(c1, c2)
-            # push d^[a1] through t^b2 and merge the rest with d^[a2], per variable
-            choices = [
-                [(tau, comb(e, tau) * comb(k - tau + k2, k2)) for tau in range(min(k, e) + 1)]
-                for k, e, k2 in zip(a1, b2, a2)
-            ]
-            for tau, coef in contractions(fld.characteristic, choices):
-                beta = tuple(map(sub, map(add, b1, b2), tau))
-                alpha = tuple(map(add, map(sub, a1, tau), a2))
-                fld.acc(out, (beta, alpha), fld.mul(base, coef))
-    return PDOp(d1.ring, out)
+    fld = ring.field
+    (b1, a1), (b2, a2) = key1, key2
+    if not any(map(min, a1, b2)):
+        a = tuple(map(add, a1, a2))
+        w = prod(map(comb, a, a1))
+        fld.acc(out, (tuple(map(add, b1, b2)), a), c if w == 1 else fld.mul(c, w))
+        return
+    # push d^[a1] through t^b2 and merge the rest with d^[a2], per variable
+    choices = [
+        [(tau, comb(e, tau) * comb(k - tau + k2, k2)) for tau in range(min(k, e) + 1)]
+        for k, e, k2 in zip(a1, b2, a2)
+    ]
+    for tau, coef in contractions(fld.characteristic, choices):
+        beta = tuple(map(sub, map(add, b1, b2), tau))
+        alpha = tuple(map(add, map(sub, a1, tau), a2))
+        fld.acc(out, (beta, alpha), fld.mul(c, coef))
 
 
 def p_commutator(d1: PDOp, d2: PDOp) -> PDOp:

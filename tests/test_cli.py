@@ -10,6 +10,7 @@ import time
 import pytest
 
 from diffops.cli import main
+from diffops.fields import MAX_PICKS
 from diffops.parsing import MAX_DIGITS, MAX_EXPONENT, MAX_POWER_PRODUCTS
 
 from cli_cases import CASES, FIXTURES, expand
@@ -250,6 +251,19 @@ def test_power_of_a_sum_is_capped():
     k = MAX_EXPONENT
     rc, out, _ = run_cli(["normalize", f"(x1^2*h*y2)^{k}", "--n", "2"])
     assert (rc, out) == (0, f"h^{k}*x1^{2 * k}*y2^{k}\n")
+
+
+def test_divided_power_push_is_capped():
+    # pushing dx1[3000]*dx2[3000] past x1^3000*x2^3000 takes 3,001^2 picks, and
+    # one index of the second push has about 13.6 million options; without a
+    # cap on the picks the first ran for minutes and the second ran out of memory
+    start = time.perf_counter()
+    for argv in (["dx1[3000]*dx2[3000]", "x1^3000*x2^3000", "--n", "2"],
+                 ["dh[300]*dx1[300]*dy1[300]", "x1^300*y1^300"]):
+        rc, out, err = run_cli(["compose", *argv])
+        assert (rc, out) == (2, "")
+        assert err == f"error: monomial product needs more than {MAX_PICKS} contraction picks\n"
+    assert time.perf_counter() - start < 10
 
 
 def test_longest_exponent_error_is_one_short_line():

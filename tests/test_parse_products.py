@@ -1,22 +1,28 @@
 """Products in text against the key maps they name.
 
-The parser folds a product of monomials that are already in normal order
-into one key times an integer weight, without the composition kernels.
-These cases write random key maps as text with a writer of their own:
-scalar factors go anywhere in a product, powers are split into repeated
-factors (x1^3 as x1*x1^2, dx1[3] as dx1[2]*dx1 or dx1^3 = 6*dx1[3]), and
-the expected coefficients come from math.comb and math.factorial here.
-Products out of normal order (y1*x1, dx1*x1, dh*y1, d[u]*u) do go through
-the kernels; they are checked against the word-rewriting oracle and
-actions taken from the definition, never against a kernel.
+A product of monomials that are already in normal order takes the pair
+kernels' shortcut (_mul_mono, _compose_mono, _p_compose_mono): one key
+times an integer weight, with no contraction enumerated.  The normal-order
+cases here are the differential test of those shortcuts.  They write
+random key maps as text with a writer of their own: scalar factors go
+anywhere in a product, powers are split into repeated factors (x1^3 as
+x1*x1^2, dx1[3] as dx1[2]*dx1 or dx1^3 = 6*dx1[3]), and the expected
+coefficients come from math.comb and math.factorial here.  The same
+products are also read factor by factor and multiplied as values, with
+HElement *, op_compose and p_compose.  Products out of normal order (y1*x1,
+dx1*x1, dh*y1, d[u]*u) take the kernels' contractions; they are checked
+against the word-rewriting oracle and actions taken from the definition,
+never against a kernel.
 """
 
 from fractions import Fraction
+from functools import reduce
 from math import comb, factorial, prod
+from operator import mul
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from diffops import AlgebraContext, DOperator, FieldSpec, HElement, PolyRing
+from diffops import AlgebraContext, DOperator, FieldSpec, HElement, PolyRing, op_compose, p_compose
 from diffops.parsing import element_from_text, operator_from_text, pdop_from_text, poly_from_text
 
 from oracles import naive_apply, naive_mul
@@ -214,6 +220,25 @@ def test_polynomial_products_read_as_their_key_maps(data):
     keys = data.draw(st.lists(pairs, min_size=1, max_size=3, unique=True))
     text, expected = write(w, pdop_groups, ring, keys)
     assert pdop_from_text(ring, text).terms == expected, text
+
+
+@CASES
+@given(st.data())
+def test_normal_products_multiply_as_values(data):
+    # one product per value type, its factors read one by one and multiplied
+    # as values, so that the shortcut runs in HElement *, op_compose and p_compose
+    ctx, cap = data.draw(contexts())
+    ring = rings(ctx.field.characteristic, ctx.n)
+    w = Writer(data.draw(st.randoms(use_true_random=False)), ctx.field.characteristic)
+    for keys, groups_of, parent, from_text, times in [
+        (element_keys(ctx, cap), with_weight(element_groups), ctx, element_from_text, mul),
+        (operator_keys(ctx, cap), operator_groups, ctx, operator_from_text, op_compose),
+        (st.tuples(exps(ring.nvars, cap), exps(ring.nvars, cap)), pdop_groups, ring,
+         pdop_from_text, p_compose),
+    ]:
+        text, expected = write(w, groups_of, parent, [data.draw(keys)])
+        got = reduce(times, [from_text(parent, factor) for factor in text.split("*")])
+        assert got.terms == expected, text
 
 
 def two_factors(data, w, keys, groups_of, parent):
