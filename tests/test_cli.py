@@ -254,9 +254,9 @@ def test_power_of_a_sum_is_capped():
 
 
 def test_divided_power_push_is_capped():
-    # pushing dx1[3000]*dx2[3000] past x1^3000*x2^3000 takes 3,001^2 picks, and
-    # one index of the second push has about 13.6 million options; without a
-    # cap on the picks the first ran for minutes and the second ran out of memory
+    # pushing dx1[3000]*dx2[3000] past x1^3000*x2^3000 takes 3,001^2 picks (it
+    # ran past 30 s without a cap), and one index of the second push has about
+    # 13.6 million options, refused before they are built
     start = time.perf_counter()
     for argv in (["dx1[3000]*dx2[3000]", "x1^3000*x2^3000", "--n", "2"],
                  ["dh[300]*dx1[300]*dy1[300]", "x1^300*y1^300"]):
